@@ -223,8 +223,8 @@ const (
 
 // Plan is a planned execution strategy for one range query: the serial
 // adjacent-chain walk or the parallel scatter. Cluster.RangeAdaptive picks
-// one per request from the range's estimated peer-span, with the crossover
-// tuned from the latencies the cluster itself observes.
+// one per request from the range's estimated peer-span with a fixed rule:
+// ranges touching fewer than four peers walk, wider ones scatter.
 type Plan = query.Plan
 
 // Range execution plans.
@@ -246,8 +246,8 @@ type Pred = query.Pred
 type RangeIter = p2p.RangeIter
 
 // PlanSnapshot is the query planner's counters — adaptive range queries
-// dispatched serially and in parallel, and plan-cache hits — returned by
-// Cluster.PlanStats and embedded in ClusterMetrics.
+// dispatched serially and in parallel — returned by Cluster.PlanStats and
+// embedded in ClusterMetrics. Its CacheHits field always reads 0.
 type PlanSnapshot = obs.PlanSnapshot
 
 // ClusterMetrics is the lock-free snapshot of the cluster's metrics

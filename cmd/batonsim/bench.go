@@ -70,14 +70,12 @@ type benchResult struct {
 	Imbalance float64 `json:"imbalance,omitempty"`
 	// Rebalanced counts the background balancer's actions (zipf rows only).
 	Rebalanced int64 `json:"rebalanced,omitempty"`
-	// PlanSerial, PlanParallel and PlanCacheHits are the query layer's
-	// planning counters for the cell (adaptive-plan rows only): how the
-	// self-tuned planner split the cell's ranges between the serial walk
-	// and the parallel scatter, and how often the plan cache short-
-	// circuited the span estimate.
-	PlanSerial    int64 `json:"plan_serial,omitempty"`
-	PlanParallel  int64 `json:"plan_parallel,omitempty"`
-	PlanCacheHits int64 `json:"plan_cache_hits,omitempty"`
+	// PlanSerial and PlanParallel are the query layer's planning counters
+	// for the cell (adaptive-plan rows only): how the fixed span rule
+	// split the cell's ranges between the serial walk and the parallel
+	// scatter.
+	PlanSerial   int64 `json:"plan_serial,omitempty"`
+	PlanParallel int64 `json:"plan_parallel,omitempty"`
 }
 
 // benchReport is the schema of BENCH_p2p.json: the run parameters plus one
@@ -147,7 +145,7 @@ func runBench(o benchOptions) {
 		{"range-serial", 1, with(func(c *driver.Config) {
 			c.RangeFraction = 1
 			c.RangeSelectivity = 0.05
-			c.SerialRange = true
+			c.Plan = driver.PlanSerial
 			c.Ops = max(1, o.ops/10) // serial chains are ~linear in covered peers
 		})},
 		{"range-parallel", 1, with(func(c *driver.Config) {
@@ -218,7 +216,6 @@ func runBench(o benchOptions) {
 			StaleRoutes:    c.StaleRoutes() - staleBefore,
 			PlanSerial:     rep.PlanSerial,
 			PlanParallel:   rep.PlanParallel,
-			PlanCacheHits:  rep.PlanCacheHits,
 		}
 		if rep.Ops > 0 {
 			// Whole-process deltas: peer-side message handling and replication
@@ -412,14 +409,6 @@ func runPlanSweep(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 			RangeFraction:    1,
 			RangeSelectivity: cell.sel,
 		}
-		// Warm the adaptive planner's span bucket before measuring: the
-		// warm-up walks the bucket through both trial bursts and into the
-		// committed stretch, so the measured adaptive cell runs converged,
-		// the steady state the sweep is about.
-		warm := base
-		warm.Plan = driver.PlanAdaptive
-		warm.Ops = 400
-		driver.Run(c, warm)
 		for _, plan := range plans {
 			cfg := base
 			cfg.Plan = plan
@@ -595,7 +584,7 @@ func runTCPColumn(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 		{"range-serial-tcp", 1, with(func(cfg *driver.Config) {
 			cfg.RangeFraction = 1
 			cfg.RangeSelectivity = 0.05
-			cfg.SerialRange = true
+			cfg.Plan = driver.PlanSerial
 			cfg.Ops = max(1, o.ops/10)
 		})},
 		{"range-parallel-tcp", 1, with(func(cfg *driver.Config) {

@@ -94,7 +94,6 @@ func main() {
 		joins       = flag.Int("joins", 0, "peers that join online while the workload runs (churnload mode)")
 		departs     = flag.Int("departs", 0, "peers that depart gracefully while the workload runs (churnload mode)")
 		recovers    = flag.Int("recover", -1, "crash repairs to run while the workload runs (faultload mode; -1 means match -kill)")
-		serialRange = flag.Bool("serialrange", false, "use the sequential chain walk for range queries")
 		plan        = flag.String("plan", "", "range execution plan: serial, parallel or adaptive (rangecmp default: compare all three)")
 		rangeDist   = flag.String("rangedist", "", "range width distribution around -selectivity: fixed, uniform or bimodal")
 		bulkSize    = flag.Int("bulk", 0, "batch puts through BulkPut in groups of this size (0 = singleton puts)")
@@ -146,7 +145,7 @@ func main() {
 		runThroughput(throughputOptions{
 			peers: *peers, items: *items, clients: *clients, ops: *ops,
 			getFrac: *getFrac, putFrac: *putFrac, delFrac: *delFrac, rangeFrac: *rangeFrac,
-			selectivity: *selectivity, kill: *kill, serialRange: *serialRange,
+			selectivity: *selectivity, kill: *kill,
 			plan: *plan, rangeDist: *rangeDist,
 			bulkSize: *bulkSize, route: routeMode, seed: *seed, fanout: *fanout,
 			traceSample: *traceSample, metricsOut: *metricsOut,
@@ -279,7 +278,7 @@ func main() {
 func validateModeFlags(mode string) error {
 	workloadModes := map[string]bool{"throughput": true, "churnload": true, "faultload": true, "skewload": true}
 	allowed := map[string]map[string]bool{
-		"throughput": {"kill": true, "route": true, "bulk": true, "serialrange": true, "plan": true, "rangedist": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
+		"throughput": {"kill": true, "route": true, "bulk": true, "plan": true, "rangedist": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
 		"churnload":  {"kill": true, "joins": true, "departs": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
 		"faultload":  {"kill": true, "recover": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
 		"skewload":   {"theta": true, "autobalance": true, "compare": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
@@ -289,7 +288,7 @@ func validateModeFlags(mode string) error {
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "kill", "joins", "departs", "recover", "route", "out", "requirespeedup",
-			"theta", "autobalance", "compare", "compareoverlays", "bulk", "serialrange",
+			"theta", "autobalance", "compare", "compareoverlays", "bulk",
 			"tracesample", "metricsout", "transport", "listen":
 			if !allowed[mode][f.Name] {
 				bad = append(bad, "-"+f.Name)
@@ -342,7 +341,6 @@ func validateModeFlags(mode string) error {
 		"autobalance":     {"skewload"},
 		"compare":         {"skewload"},
 		"bulk":            {"throughput"},
-		"serialrange":     {"throughput"},
 		"plan":            {"throughput", "rangecmp"},
 		"rangedist":       {"throughput", "rangecmp"},
 		"tracesample":     append(append([]string{}, workloads...), "bench"),

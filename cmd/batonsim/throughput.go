@@ -18,7 +18,6 @@ type throughputOptions struct {
 	getFrac, putFrac, delFrac, rangeFrac float64
 	selectivity                          float64
 	kill, bulkSize                       int
-	serialRange                          bool
 	plan, rangeDist                      string
 	route                                p2p.RouteMode
 	seed                                 int64
@@ -40,7 +39,6 @@ func runThroughput(o throughputOptions) {
 		DeleteFraction:   o.delFrac,
 		RangeFraction:    o.rangeFrac,
 		RangeSelectivity: o.selectivity,
-		SerialRange:      o.serialRange,
 		Plan:             o.plan,
 		RangeDist:        o.rangeDist,
 		BulkSize:         o.bulkSize,
@@ -49,8 +47,8 @@ func runThroughput(o throughputOptions) {
 		TraceSample:      o.traceSample,
 		Seed:             o.seed,
 	}
-	// Reject an inconsistent plan (e.g. -serialrange with -plan parallel)
-	// before the cluster is built, so a bad flag pair fails fast.
+	// Reject an unknown -plan or -rangedist before the cluster is built, so
+	// a bad flag fails fast.
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
@@ -80,11 +78,8 @@ func runThroughput(o throughputOptions) {
 	cfg.Keys = keys
 	rep := driver.Run(cluster, cfg)
 	rangeMode := "parallel fan-out"
-	switch {
-	case o.plan != "":
+	if o.plan != "" {
 		rangeMode = o.plan
-	case o.serialRange:
-		rangeMode = "serial chain walk"
 	}
 	fmt.Printf("throughput run (route mode: %s, range mode: %s, transport: %s)\n", o.route, rangeMode, o.transport)
 	fmt.Print(rep.String())
@@ -165,9 +160,9 @@ func runRangeCompare(o rangecmpOptions) {
 		vias[i] = ids[rng.Intn(len(ids))]
 	}
 
-	// Warm every code path (scheduler, allocator, caches, the adaptive
-	// planner's latency EWMAs) before measuring so the first plan measured
-	// doesn't absorb the cold-start cost and skew the printed speedup.
+	// Warm every code path (scheduler, allocator, reply-channel pool)
+	// before measuring so the first plan measured doesn't absorb the
+	// cold-start cost and skew the printed speedup.
 	for i := 0; i < 64 && i < len(ranges); i++ {
 		cluster.RangeSerial(vias[i], ranges[i])
 		cluster.Range(vias[i], ranges[i])
@@ -220,7 +215,7 @@ func runRangeCompare(o rangecmpOptions) {
 	}
 	if results[driver.PlanAdaptive] != nil {
 		ps := cluster.PlanStats()
-		fmt.Printf("adaptive plans serial/parallel %d/%d  plan cache hits %d\n",
-			ps.Serial-statsBefore.Serial, ps.Parallel-statsBefore.Parallel, ps.CacheHits-statsBefore.CacheHits)
+		fmt.Printf("adaptive plans serial/parallel %d/%d\n",
+			ps.Serial-statsBefore.Serial, ps.Parallel-statsBefore.Parallel)
 	}
 }

@@ -61,42 +61,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of samples observed so far.
-func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Mean returns the average sample without building a snapshot, or 0 when
-// empty. The count and sum are read separately, so under concurrent
-// observers the result is approximate by at most a sample — fine for the
-// advisory consumers (the query planner) it exists for.
-func (h *Histogram) Mean() float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Decay halves every bucket count, the sample count and the sum:
-// exponential forgetting for histograms that feed a live decision (the
-// query planner's per-plan latency buckets) rather than a cumulative
-// report, so old regimes stop dominating the mean. Concurrent Observes
-// interleave with the halving of each word independently, so a decayed
-// histogram is approximate — never use it on the cumulative metrics the
-// registry reports.
-func (h *Histogram) Decay() {
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
-			h.counts[i].Add(-(c - c/2))
-		}
-	}
-	if n := h.n.Load(); n > 0 {
-		h.n.Add(-(n - n/2))
-	}
-	if s := h.sum.Load(); s > 0 {
-		h.sum.Add(-(s - s/2))
-	}
-}
-
 // Snapshot reads the histogram without locking. Concurrent observers may
 // land between bucket reads, so a snapshot is monotonic rather than a
 // perfect point-in-time cut — the usual metrics contract.

@@ -41,7 +41,6 @@ import (
 	"baton/internal/core"
 	"baton/internal/keyspace"
 	"baton/internal/obs"
-	"baton/internal/query"
 	"baton/internal/transport"
 )
 
@@ -71,12 +70,12 @@ type ctlOp byte
 // Control-plane opcodes.
 const (
 	ctlReply ctlOp = iota + 1 // RPC completion, body = the reply
-	ctlHello                 // daemon→head: body = daemon listen addr; reply = domain + fanout
-	ctlJoin                  // daemon→head: body = peer count; reply = joined count
-	ctlSpawn                 // head→daemon: create a hosted peer; reply = status byte
-	ctlTopo                  // head→daemon broadcast: topology snapshot, no reply
-	ctlLoads                 // head→daemon: reply = per-hosted-peer load counters
-	ctlPush                  // local only: head ctl worker pushes topology to one node
+	ctlHello                  // daemon→head: body = daemon listen addr; reply = domain + fanout
+	ctlJoin                   // daemon→head: body = peer count; reply = joined count
+	ctlSpawn                  // head→daemon: create a hosted peer; reply = status byte
+	ctlTopo                   // head→daemon broadcast: topology snapshot, no reply
+	ctlLoads                  // head→daemon: reply = per-hosted-peer load counters
+	ctlPush                   // local only: head ctl worker pushes topology to one node
 )
 
 // rpcTimeout bounds a control RPC: a wedged remote must not hang a
@@ -1128,15 +1127,13 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 		return nil, fmt.Errorf("p2p: seed handshake: malformed hello reply")
 	}
 	c := &Cluster{
-		fanout:    fanout,
-		done:      make(chan struct{}),
-		domain:    domain,
-		suspects:  make(chan core.PeerID, 64),
-		traces:    obs.NewTraceRing(traceRingSize),
-		journal:   obs.NewJournal(journalSize),
-		retired:   obs.NewPeerMetrics(numKinds),
-		planner:   query.NewPlanner(),
-		planCache: query.NewCache(),
+		fanout:   fanout,
+		done:     make(chan struct{}),
+		domain:   domain,
+		suspects: make(chan core.PeerID, 64),
+		traces:   obs.NewTraceRing(traceRingSize),
+		journal:  obs.NewJournal(journalSize),
+		retired:  obs.NewPeerMetrics(numKinds),
 	}
 	c.topo.Store(&topology{
 		peers:   make(map[core.PeerID]*peer),

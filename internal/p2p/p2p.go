@@ -145,12 +145,11 @@
 // On top of the two fixed range flavours sits a thin adaptive planner
 // (query.go, internal/query). RangeAdaptive estimates a range's peer-span
 // from the published ring — two binary searches against state the client
-// already holds, no messages, no locks — and dispatches the serial walk
-// for narrow ranges and the scatter for wide ones, with the crossover
-// tuned per span bucket from the latencies the cluster itself observes
-// rather than hard-coded. A small (range bucket, epoch)-keyed plan cache
-// short-circuits the estimate and the entry-point lookup for repeated
-// ranges and is invalidated implicitly by every epoch bump. RangeIter
+// already holds, no messages, no locks — and applies one fixed rule:
+// spans below query.SerialSpanLimit run the serial walk, wider ones the
+// scatter. The request enters the overlay at the owner of the range's
+// lower bound, found in the same ring, which is what makes narrow
+// adaptive ranges cheap: no phase-1 routing hops. RangeIter
 // streams a range answer: scatter branches push bounded batches through a
 // channel-backed sink as they land, so wide queries allocate O(batch)
 // rather than O(result). GetFiltered / RangeFiltered push a serialisable
@@ -452,11 +451,11 @@ type peer struct {
 	// peer hosted elsewhere. A stub has no goroutine; deliveries to it
 	// detour through netLayer.deliver onto the wire (see node.go).
 	// Immutable after construction.
-	node transport.NodeID
-	pos    core.Position
-	rng    keyspace.Range
-	data   *store.Store
-	inbox  chan request
+	node  transport.NodeID
+	pos   core.Position
+	rng   keyspace.Range
+	data  *store.Store
+	inbox chan request
 
 	parent *link
 	// children holds the fanout child slots in tree order: slot 0 is the
@@ -600,14 +599,9 @@ type Cluster struct {
 	retired  *obs.PeerMetrics
 	curEvent *obs.Event
 
-	// The query layer (query.go): planner picks serial vs parallel
-	// execution per range request from the estimated peer-span and tunes
-	// the crossover from observed latencies, planCache short-circuits the
-	// span estimate and owner lookup for repeated ranges until the next
-	// epoch bump, and plans counts the decisions for Metrics.
-	planner   *query.Planner
-	planCache *query.Cache
-	plans     obs.PlanCounters
+	// plans counts the query layer's serial vs parallel decisions
+	// (query.go) for Metrics.
+	plans obs.PlanCounters
 
 	// autoRecover and suspects feed the opt-in background repairer (see
 	// recovery.go): routing paths that observe a dead responsible peer
@@ -657,15 +651,13 @@ type Cluster struct {
 // own Join and Depart.
 func NewCluster(nw *core.Network) *Cluster {
 	c := &Cluster{
-		fanout:    nw.Fanout(),
-		done:      make(chan struct{}),
-		domain:    nw.Domain(),
-		suspects:  make(chan core.PeerID, 64),
-		traces:    obs.NewTraceRing(traceRingSize),
-		journal:   obs.NewJournal(journalSize),
-		retired:   obs.NewPeerMetrics(numKinds),
-		planner:   query.NewPlanner(),
-		planCache: query.NewCache(),
+		fanout:   nw.Fanout(),
+		done:     make(chan struct{}),
+		domain:   nw.Domain(),
+		suspects: make(chan core.PeerID, 64),
+		traces:   obs.NewTraceRing(traceRingSize),
+		journal:  obs.NewJournal(journalSize),
+		retired:  obs.NewPeerMetrics(numKinds),
 	}
 	snapshot := core.Snapshot(nw)
 	t := &topology{

@@ -9,16 +9,15 @@
 // discipline as the balancer's balanceLikely.
 //
 // RangeAdaptive plans per request: it estimates the range's peer-span from
-// the ring, asks the query.Planner whether the serial adjacent-chain walk
-// or the parallel scatter wins at that span (the crossover is tuned from
-// the latencies the cluster itself observes, not a hard-coded constant),
-// and dispatches the request straight to the cached owner of the range's
-// lower bound. A (range bucket, epoch)-keyed query.Cache short-circuits
-// the span estimate and the owner lookup for repeated ranges; every
-// ownership publication bumps the epoch, which invalidates the cache
-// implicitly. A stale cache entry — the bucket was shared, or ownership
-// moved before the epoch bumped — costs forwarding hops (phase-1 routing
-// re-aims the request), never correctness.
+// the ring and applies query.Choose's fixed rule — the serial
+// adjacent-chain walk below query.SerialSpanLimit peers, the parallel
+// scatter from there on — and dispatches the request straight to the
+// owner of the range's lower bound, looked up in the same ring. Entering
+// at the owner is what makes narrow adaptive ranges cheap: a one-peer
+// range costs one request and one reply, with no phase-1 routing. An
+// entry slot gone stale under a concurrent membership change costs
+// forwarding hops (phase-1 routing re-aims the request), never
+// correctness.
 //
 // RangeIter streams: the scatter branches push bounded batches into a
 // channel-backed sink as they land instead of materialising one giant
@@ -33,7 +32,6 @@ package p2p
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
@@ -43,8 +41,8 @@ import (
 )
 
 // entryIdx returns the ring index of the member owning key under this
-// topology (the slot entryOf resolves, as an index so it can be cached),
-// or -1 for an empty ring. Keys below the first entry map to slot 0, the
+// topology (the slot entryOf resolves, as an index), or -1 for an empty
+// ring. Keys below the first entry map to slot 0, the
 // extreme-member rule of ownsExtreme.
 func (t *topology) entryIdx(key keyspace.Key) int {
 	n := len(t.ring)
@@ -85,49 +83,28 @@ func (c *Cluster) EstimateSpan(r keyspace.Range) int {
 }
 
 // PlanStats returns the query layer's planning counters: adaptive range
-// queries dispatched serially and in parallel, and plan-cache hits.
+// queries dispatched serially and in parallel.
 func (c *Cluster) PlanStats() obs.PlanSnapshot { return c.plans.Snapshot() }
 
-// planRange resolves the plan for a range query under topology t: span and
-// owner slot from the plan cache when current, recomputed and cached
-// otherwise. The plan itself is always re-chosen — query.Planner.Choose is
-// a handful of atomic operations — so the trial schedule keeps tuning even
-// on all-hit workloads. A query with a pushdown limit is always served
-// serially: the
-// chain stops the moment the limit is reached, while a scatter would fan
-// work out to peers whose items are then thrown away.
-func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (query.Plan, int, int) {
-	var span, ownerIdx int
-	bucket := query.BucketOf(r)
-	if e, ok := c.planCache.Get(bucket, t.epoch); ok {
-		c.plans.CacheHit()
-		span, ownerIdx = e.Span, e.OwnerIdx
-	} else {
-		span = t.spanOf(r)
-		ownerIdx = t.entryIdx(r.Lower)
-		c.planCache.Put(bucket, t.epoch, span, ownerIdx)
-	}
-	var plan query.Plan
-	if pred.LimitOrZero() > 0 {
-		plan = query.PlanSerial
-	} else {
-		plan = c.planner.Choose(span)
-	}
+// planRange resolves the plan for a range query under topology t and the
+// ring slot owning the range's lower bound, where the request enters.
+func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (query.Plan, int) {
+	plan := query.Choose(t.spanOf(r), pred.LimitOrZero())
 	if plan == query.PlanSerial {
 		c.plans.Serial()
 	} else {
 		c.plans.Parallel()
 	}
-	return plan, span, ownerIdx
+	return plan, t.entryIdx(r.Lower)
 }
 
 // RangeAdaptive answers the range query like Range / RangeSerial, but
 // picks the execution per request: the peer-span of the range is estimated
-// from the published ring and the self-tuned planner dispatches the serial
-// chain walk for narrow ranges and the parallel scatter for wide ones.
-// The request enters the overlay at the cached owner of r.Lower (falling
-// back to via when the slot is dead or unknown), so repeated ranges skip
-// phase-1 routing too. Items are returned in key order.
+// from the published ring and query.Choose dispatches the serial chain
+// walk for narrow ranges and the parallel scatter for wide ones. The
+// request enters the overlay at the owner of r.Lower (falling back to via
+// when the slot is dead or unknown), so it skips phase-1 routing. Items
+// are returned in key order.
 func (c *Cluster) RangeAdaptive(via core.PeerID, r keyspace.Range) ([]store.Item, int, error) {
 	return c.rangePlanned(via, r, nil)
 }
@@ -149,21 +126,15 @@ func (c *Cluster) rangePlanned(via core.PeerID, r keyspace.Range, pred *query.Pr
 	if _, ok := t.peers[via]; !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
 	}
-	plan, span, ownerIdx := c.planRange(t, r, pred)
+	plan, ownerIdx := c.planRange(t, r, pred)
 	req := request{kind: kindRange, key: r.Lower, rng: r, par: plan == query.PlanParallel}
 	if pred != nil {
 		req.kind = kindRangePred
 		req.pred = pred
 	}
-	start := time.Now()
 	resp, err := c.issueToEntry(via, t, ownerIdx, req)
 	if err != nil {
 		return nil, 0, err
-	}
-	if resp.err == nil && pred.LimitOrZero() == 0 {
-		// Feed the tuner with clean, comparable measurements only: no
-		// failed-over queries, no limit-truncated walks.
-		c.planner.Observe(plan, span, time.Since(start).Nanoseconds())
 	}
 	return resp.items, resp.hops, resp.err
 }
@@ -184,7 +155,7 @@ func (c *Cluster) GetFiltered(via core.PeerID, key keyspace.Key, pred *query.Pre
 // issueToEntry issues the request straight to the ring slot idx of
 // topology t when that member is alive, falling back to the overlay path
 // entered at via otherwise — the same degradation issueDirect applies. A
-// misaimed direct send (the cached slot no longer owns the range's lower
+// misaimed direct send (the slot no longer owns the range's lower
 // bound) is re-routed by phase-1 forwarding at the receiver.
 func (c *Cluster) issueToEntry(via core.PeerID, t *topology, idx int, req request) (response, error) {
 	if idx >= 0 && idx < len(t.ring) {
@@ -330,16 +301,8 @@ func (c *Cluster) rangeIter(via core.PeerID, r keyspace.Range, pred *query.Pred)
 	}
 	// Streaming is always the parallel scatter — a serial chain cannot
 	// yield anything before the walk completes — so only the owner slot is
-	// interesting; the cache still skips the lookup for repeated ranges.
-	var ownerIdx int
-	bucket := query.BucketOf(r)
-	if e, ok := c.planCache.Get(bucket, t.epoch); ok {
-		c.plans.CacheHit()
-		ownerIdx = e.OwnerIdx
-	} else {
-		ownerIdx = t.entryIdx(r.Lower)
-		c.planCache.Put(bucket, t.epoch, t.spanOf(r), ownerIdx)
-	}
+	// interesting.
+	ownerIdx := t.entryIdx(r.Lower)
 	c.plans.Parallel()
 	sink := &rangeSink{
 		ch:     make(chan iterBatch, sinkBuffer),

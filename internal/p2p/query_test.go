@@ -108,66 +108,78 @@ func TestEstimateSpanMatchesCore(t *testing.T) {
 }
 
 // TestAdaptiveRangeMatchesFixedPlans checks the planned path returns the
-// same answer as both fixed flavours across widths, and that the plan
-// cache serves repeats: the second identical query must hit.
+// same answer as both fixed flavours across widths, and that each width
+// runs the plan the fixed span rule assigns it: a one-peer range walks
+// the chain, wider ones scatter (on this cluster the 80M width spans
+// exactly query.SerialSpanLimit peers, the first span that scatters).
 func TestAdaptiveRangeMatchesFixedPlans(t *testing.T) {
 	c, keys := liveCluster(t, 60, 600, 41)
 	ids := c.PeerIDs()
 	uniq := uniqueSortedKeys(keys)
 	rng := rand.New(rand.NewSource(42))
-	for _, width := range []keyspace.Key{5_000_000, 80_000_000, 400_000_000, 999_000_000} {
-		lo := keyspace.DomainMin + keyspace.Key(rng.Int63n(int64(keyspace.DomainMax-width)))
-		r := keyspace.NewRange(lo, lo+width)
+	for _, tc := range []struct {
+		width keyspace.Key
+		want  query.Plan
+	}{
+		{5_000_000, query.PlanSerial},
+		{80_000_000, query.PlanParallel},
+		{400_000_000, query.PlanParallel},
+		{999_000_000, query.PlanParallel},
+	} {
+		lo := keyspace.DomainMin + keyspace.Key(rng.Int63n(int64(keyspace.DomainMax-tc.width)))
+		r := keyspace.NewRange(lo, lo+tc.width)
 		via := ids[rng.Intn(len(ids))]
 		before := c.PlanStats()
 		items, _, err := c.RangeAdaptive(via, r)
 		if err != nil {
 			t.Fatalf("adaptive range %v: %v", r, err)
 		}
-		checkExactItems(t, items, keysIn(uniq, r), fmt.Sprintf("adaptive width %d", width))
-		if _, _, err := c.RangeAdaptive(via, r); err != nil {
-			t.Fatal(err)
-		}
+		checkExactItems(t, items, keysIn(uniq, r), fmt.Sprintf("adaptive width %d", tc.width))
 		after := c.PlanStats()
-		if after.CacheHits <= before.CacheHits {
-			t.Fatalf("repeat of range %v did not hit the plan cache (hits %d -> %d)", r, before.CacheHits, after.CacheHits)
+		got := query.PlanSerial
+		if after.Parallel-before.Parallel == 1 {
+			got = query.PlanParallel
+		}
+		if d := (after.Serial - before.Serial) + (after.Parallel - before.Parallel); d != 1 || got != tc.want {
+			t.Fatalf("width %d (span %d): %d plan decisions, ran %v, want one %v",
+				tc.width, c.EstimateSpan(r), d, got, tc.want)
 		}
 	}
 }
 
-// TestPlanCacheNotServedAcrossEpochBump pins the invalidation rule
-// red/green: a cached plan must not be served after a membership change
-// bumps the topology epoch, and caching must resume at the new epoch.
-func TestPlanCacheNotServedAcrossEpochBump(t *testing.T) {
-	c, _ := liveCluster(t, 30, 200, 43)
-	ids := c.PeerIDs()
-	r := keyspace.NewRange(100_000_000, 300_000_000)
-	if _, _, err := c.RangeAdaptive(ids[0], r); err != nil { // populates the cache
-		t.Fatal(err)
+// TestAdaptiveRangeEntersAtItsOwnOwner pins that an adaptive range's cost
+// does not depend on which ranges ran before it. Two equally wide ranges
+// starting in the same width-aligned window of the key space — ranges a
+// coarse per-bucket plan cache would conflate — must each enter at the
+// owner of their own lower bound: the second one, issued right after the
+// first, costs exactly the messages and hops it costs issued cold on an
+// identical cluster.
+func TestAdaptiveRangeEntersAtItsOwnOwner(t *testing.T) {
+	first := keyspace.NewRange(10_000_000, 410_000_000)
+	second := keyspace.NewRange(300_000_000, 700_000_000)
+	cost := func(c *Cluster, r keyspace.Range) (int64, int) {
+		t.Helper()
+		msgs := c.Messages()
+		_, hops, err := c.RangeAdaptive(c.PeerIDs()[0], r)
+		if err != nil {
+			t.Fatalf("adaptive range %v: %v", r, err)
+		}
+		return c.Messages() - msgs, hops
 	}
-	before := c.PlanStats()
-	if _, _, err := c.RangeAdaptive(ids[0], r); err != nil {
-		t.Fatal(err)
+
+	cold, _ := liveCluster(t, 60, 600, 47)
+	coldMsgs, coldHops := cost(cold, second)
+
+	warm, _ := liveCluster(t, 60, 600, 47)
+	topo := warm.topo.Load()
+	if topo.entryIdx(first.Lower) == topo.entryIdx(second.Lower) {
+		t.Fatal("both ranges start at the same owner; the test needs distinct entry peers")
 	}
-	mid := c.PlanStats()
-	if mid.CacheHits != before.CacheHits+1 {
-		t.Fatalf("repeat before the bump: cache hits %d -> %d, want a hit", before.CacheHits, mid.CacheHits)
-	}
-	if _, err := c.Join(ids[0]); err != nil { // epoch bump
-		t.Fatal(err)
-	}
-	if _, _, err := c.RangeAdaptive(ids[0], r); err != nil {
-		t.Fatal(err)
-	}
-	after := c.PlanStats()
-	if after.CacheHits != mid.CacheHits {
-		t.Fatalf("first query after the epoch bump was served from the stale cache (hits %d -> %d)", mid.CacheHits, after.CacheHits)
-	}
-	if _, _, err := c.RangeAdaptive(ids[0], r); err != nil {
-		t.Fatal(err)
-	}
-	if final := c.PlanStats(); final.CacheHits != after.CacheHits+1 {
-		t.Fatalf("caching did not resume at the new epoch (hits %d -> %d)", after.CacheHits, final.CacheHits)
+	cost(warm, first)
+	warmMsgs, warmHops := cost(warm, second)
+	if warmMsgs != coldMsgs || warmHops != coldHops {
+		t.Fatalf("range %v after %v cost %d msgs / %d hops, issued cold %d msgs / %d hops",
+			second, first, warmMsgs, warmHops, coldMsgs, coldHops)
 	}
 }
 

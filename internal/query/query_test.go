@@ -1,132 +1,29 @@
 package query
 
 import (
-	"sync"
 	"testing"
 
 	"baton/internal/keyspace"
 )
 
-// TestPlannerTrialSchedule pins the tuning schedule: every cycle opens
-// with a parallel trial burst (the plan whose wake drains fast goes
-// first), then a serial trial burst, then commits.
-func TestPlannerTrialSchedule(t *testing.T) {
-	pl := NewPlanner()
-	for i := 0; i < trialLen; i++ {
-		if got := pl.Choose(64); got != PlanParallel {
-			t.Fatalf("decision %d: got %v, want the parallel trial burst", i, got)
-		}
-	}
-	for i := 0; i < trialLen; i++ {
-		if got := pl.Choose(64); got != PlanSerial {
-			t.Fatalf("decision %d: got %v, want the serial trial burst", trialLen+i, got)
-		}
-	}
-}
-
-// TestPlannerColdPrior pins the seeded crossover: with no latency data at
-// all (Observe never called), commit-phase decisions run narrow ranges
-// serially and wide ranges in parallel.
-func TestPlannerColdPrior(t *testing.T) {
-	pl := NewPlanner()
-	// Burn both buckets' trial bursts without feeding any measurements.
-	for i := 0; i < 2*trialLen; i++ {
-		pl.Choose(1)
-		pl.Choose(64)
-	}
-	for i := 0; i < 12; i++ {
-		if got := pl.Choose(1); got != PlanSerial {
-			t.Fatalf("cold commit for span 1: got %v, want serial", got)
-		}
-		if got := pl.Choose(64); got != PlanParallel {
-			t.Fatalf("cold commit for span 64: got %v, want parallel", got)
-		}
-	}
-}
-
-// TestPlannerLearnsCrossover feeds the planner latencies where the seeded
-// prior is wrong in both directions and checks the measured data wins.
-// The comparison is occupancy-corrected: a span-s chain walk's service
-// demand is ~(s/2)× its burst latency, so at span 64 serial must be more
-// than 32× faster than parallel to win the commit — here 10µs vs 900µs
-// (demand 320µs vs 900µs) commits the wide bucket to serial. On the
-// narrow span the factor is 1 and parallel's raw mean wins directly.
-func TestPlannerLearnsCrossover(t *testing.T) {
-	pl := NewPlanner()
-	// Walk both buckets through their trial bursts, answering each trial
-	// decision with a latency that inverts the seeded prior.
-	for i := 0; i < 2*trialLen+1; i++ {
-		switch pl.Choose(64) {
-		case PlanSerial:
-			pl.Observe(PlanSerial, 64, 10_000) // serial very fast on wide spans
-		case PlanParallel:
-			pl.Observe(PlanParallel, 64, 900_000) // parallel slow there
-		}
-		switch pl.Choose(2) {
-		case PlanSerial:
-			pl.Observe(PlanSerial, 2, 800_000) // serial slow on narrow spans
-		case PlanParallel:
-			pl.Observe(PlanParallel, 2, 50_000) // parallel fast there
-		}
-	}
-	const n = 100
-	for i := 0; i < n; i++ {
-		if got := pl.Choose(64); got != PlanSerial {
-			t.Fatalf("commit decision %d for span 64: got %v, want serial (measured demand lower)", i, got)
-		}
-		if got := pl.Choose(2); got != PlanParallel {
-			t.Fatalf("commit decision %d for span 2: got %v, want parallel (measured demand lower)", i, got)
-		}
-	}
-}
-
-// TestPlannerOccupancyGuard pins the correction's point: a serial trial
-// that looks only modestly faster than parallel on a wide span (burst
-// means flatter the chain walk, whose congestion cost a short burst never
-// sees) must still commit to parallel once demand is compared.
-func TestPlannerOccupancyGuard(t *testing.T) {
-	pl := NewPlanner()
-	for i := 0; i < 2*trialLen+1; i++ {
-		switch pl.Choose(16) {
-		case PlanSerial:
-			pl.Observe(PlanSerial, 16, 200_000) // burst-fast, demand 1.6ms
-		case PlanParallel:
-			pl.Observe(PlanParallel, 16, 600_000)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if got := pl.Choose(16); got != PlanParallel {
-			t.Fatalf("commit decision %d for span 16: got %v, want parallel (serial demand 8x its burst mean)", i, got)
-		}
-	}
-}
-
-// TestPlannerConcurrent exercises Choose/Observe from many goroutines so
-// the race detector can audit the lock-free tuning state.
-func TestPlannerConcurrent(t *testing.T) {
-	pl := NewPlanner()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				span := 1 << (i % 8)
-				p := pl.Choose(span)
-				pl.Observe(p, span, int64(1000*(i+1)))
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func TestSpanBucket(t *testing.T) {
-	cases := []struct{ span, bucket int }{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1 << 20, spanBuckets - 1},
+// TestChoose pins the fixed planning rule: spans below SerialSpanLimit
+// walk the chain, wider spans scatter, and a pushdown limit forces the
+// walk at any span.
+func TestChoose(t *testing.T) {
+	cases := []struct {
+		span, limit int
+		want        Plan
+	}{
+		{0, 0, PlanSerial},
+		{1, 0, PlanSerial},
+		{3, 0, PlanSerial},
+		{4, 0, PlanParallel},
+		{64, 0, PlanParallel},
+		{64, 10, PlanSerial},
 	}
 	for _, c := range cases {
-		if got := spanBucket(c.span); got != c.bucket {
-			t.Errorf("spanBucket(%d) = %d, want %d", c.span, got, c.bucket)
+		if got := Choose(c.span, c.limit); got != c.want {
+			t.Errorf("Choose(span %d, limit %d) = %v, want %v", c.span, c.limit, got, c.want)
 		}
 	}
 }
@@ -159,42 +56,5 @@ func TestPredMatch(t *testing.T) {
 		if got := ks.Match(c.k, nil); got != c.ok {
 			t.Errorf("key-set pred on %d = %v, want %v", c.k, got, c.ok)
 		}
-	}
-}
-
-// TestCacheEpochInvalidation pins the invalidation rule: an entry stored
-// under one epoch must not be served under any other, so an epoch bump
-// (a membership change publishing new ownership) implicitly empties the
-// cache with no flush.
-func TestCacheEpochInvalidation(t *testing.T) {
-	c := NewCache()
-	r := keyspace.NewRange(1000, 5000)
-	b := BucketOf(r)
-	c.Put(b, 7, 3, 12)
-	e, ok := c.Get(b, 7)
-	if !ok || e.Span != 3 || e.OwnerIdx != 12 {
-		t.Fatalf("Get after Put = %+v, %v; want span 3 ownerIdx 12", e, ok)
-	}
-	if _, ok := c.Get(b, 8); ok {
-		t.Error("entry from epoch 7 served at epoch 8: epoch bump must invalidate")
-	}
-	if _, ok := c.Get(b+1, 7); ok {
-		t.Error("entry served for a different bucket")
-	}
-}
-
-// TestBucketOfStability pins that repeats of the same range share a bucket
-// and that clearly different ranges do not all collide onto one.
-func TestBucketOfStability(t *testing.T) {
-	r := keyspace.NewRange(123456, 234567)
-	if BucketOf(r) != BucketOf(r) {
-		t.Error("BucketOf must be deterministic")
-	}
-	seen := map[uint64]bool{}
-	for lo := keyspace.Key(0); lo < 1_000_000; lo += 100_000 {
-		seen[BucketOf(keyspace.NewRange(lo, lo+1000))] = true
-	}
-	if len(seen) < 5 {
-		t.Errorf("10 well-spread ranges mapped to only %d buckets", len(seen))
 	}
 }

@@ -203,15 +203,11 @@ type Config struct {
 	// RangeSelectivity is the queried fraction of the key domain per range
 	// query. Default 0.01.
 	RangeSelectivity float64
-	// SerialRange walks ranges with the sequential adjacent-chain protocol
-	// instead of the parallel fan-out. Equivalent to Plan "serial"; setting
-	// both to conflicting values is a Validate error.
-	SerialRange bool
 	// Plan selects the range execution plan: "serial" (the adjacent-chain
 	// walk), "parallel" (the scatter fan-out) or "adaptive" (the query
-	// layer's self-tuned planner picks per request from the range's
-	// estimated peer-span). Empty defaults to "serial" when SerialRange is
-	// set and "parallel" otherwise, matching the pre-planner behaviour.
+	// layer's fixed span rule picks per request: ranges touching fewer
+	// than query.SerialSpanLimit peers walk, wider ones scatter). Empty
+	// means "parallel".
 	Plan string
 	// RangeDist shapes the per-query range width around the
 	// RangeSelectivity base width: "fixed" (every query uses the base
@@ -299,19 +295,15 @@ const (
 	RangeDistBimodal = "bimodal"
 )
 
-// Validate rejects a Config whose plan or range-distribution knobs are
-// inconsistent: an unknown Plan or RangeDist name, or a Plan that
-// contradicts the legacy SerialRange flag. Run assumes a valid Config;
-// cmd/batonsim turns a Validate error into a usage failure.
+// Validate rejects a Config with an unknown Plan or RangeDist name. Run
+// assumes a valid Config; cmd/batonsim turns a Validate error into a
+// usage failure.
 func (cfg Config) Validate() error {
 	switch cfg.Plan {
 	case "", PlanSerial, PlanParallel, PlanAdaptive:
 	default:
 		return fmt.Errorf("driver: unknown plan %q (want %s, %s or %s)",
 			cfg.Plan, PlanSerial, PlanParallel, PlanAdaptive)
-	}
-	if cfg.SerialRange && cfg.Plan != "" && cfg.Plan != PlanSerial {
-		return fmt.Errorf("driver: SerialRange conflicts with plan %q", cfg.Plan)
 	}
 	switch cfg.RangeDist {
 	case "", RangeDistFixed, RangeDistUniform, RangeDistBimodal:
@@ -322,14 +314,10 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// planOf resolves the effective range plan, folding the legacy SerialRange
-// flag into the Plan namespace.
+// planOf resolves the effective range plan: Plan, or parallel when empty.
 func (cfg Config) planOf() string {
 	if cfg.Plan != "" {
 		return cfg.Plan
-	}
-	if cfg.SerialRange {
-		return PlanSerial
 	}
 	return PlanParallel
 }
@@ -363,11 +351,11 @@ type Report struct {
 	// served — over this run only (the cluster registry's delta),
 	// in microseconds.
 	QueueWaitP50us, QueueWaitP99us float64
-	// PlanSerial, PlanParallel and PlanCacheHits are the query layer's
-	// planning counters over this run only (the cluster's PlanStats delta):
-	// adaptive-path range queries dispatched serially and in parallel, and
-	// plan-cache hits. All zero unless the run used Plan "adaptive".
-	PlanSerial, PlanParallel, PlanCacheHits int64
+	// PlanSerial and PlanParallel are the query layer's planning counters
+	// over this run only (the cluster's PlanStats delta): adaptive-path
+	// range queries dispatched serially and in parallel. Both zero unless
+	// the run used Plan "adaptive".
+	PlanSerial, PlanParallel int64
 }
 
 // OpAll indexes the aggregate latency distribution in Report.Latency.
@@ -383,8 +371,7 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "hops p50/p99 %.0f/%.0f  queue wait p50/p99 %.1f/%.1f µs\n",
 		r.HopsP50, r.HopsP99, r.QueueWaitP50us, r.QueueWaitP99us)
 	if r.PlanSerial+r.PlanParallel > 0 {
-		fmt.Fprintf(&b, "plans serial/parallel %d/%d  plan cache hits %d\n",
-			r.PlanSerial, r.PlanParallel, r.PlanCacheHits)
+		fmt.Fprintf(&b, "plans serial/parallel %d/%d\n", r.PlanSerial, r.PlanParallel)
 	}
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %10s %10s\n", "op", "count", "mean µs", "p50 µs", "p95 µs", "p99 µs", "max µs")
 	ops := make([]string, 0, len(r.Latency))
@@ -808,6 +795,5 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	plans := c.PlanStats()
 	report.PlanSerial = plans.Serial - plansBefore.Serial
 	report.PlanParallel = plans.Parallel - plansBefore.Parallel
-	report.PlanCacheHits = plans.CacheHits - plansBefore.CacheHits
 	return report
 }

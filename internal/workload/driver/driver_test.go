@@ -303,7 +303,7 @@ func TestDriverBulkAndSerialRange(t *testing.T) {
 		PutFraction:   0.5,
 		RangeFraction: 0.5,
 		BulkSize:      16,
-		SerialRange:   true,
+		Plan:          PlanSerial,
 		Keys:          keys,
 		Seed:          6,
 	})
