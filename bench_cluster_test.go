@@ -31,7 +31,7 @@ type clusterCache struct {
 
 func (cc *clusterCache) get() (*p2p.Cluster, []keyspace.Key) {
 	cc.Do(func() {
-		c, keys, err := driver.BuildCluster(benchPeers, benchItems, 1)
+		c, keys, _, err := driver.BuildCluster(driver.ClusterSpec{Peers: benchPeers, Items: benchItems, Seed: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -240,11 +240,11 @@ func BenchmarkClusterThroughput(b *testing.B) {
 func BenchmarkClusterThroughputSteadyChurn(b *testing.B) {
 	// A private cluster: churn changes the composition, which must not leak
 	// into the other benchmarks sharing the cached ones.
-	c, keys, err := driver.BuildCluster(benchPeers, benchItems, 2)
+	c, keys, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: benchPeers, Items: benchItems, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	b.ResetTimer()
 	var rep driver.Report
 	for i := 0; i < b.N; i++ {
@@ -270,11 +270,11 @@ func BenchmarkClusterThroughputSteadyChurn(b *testing.B) {
 // loaded 64-peer cluster; each iteration departs a peer outside the timer
 // so the cluster size (and therefore the per-join cost) holds steady.
 func BenchmarkClusterJoin(b *testing.B) {
-	c, _, err := driver.BuildCluster(64, benchItems, 3)
+	c, _, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: 64, Items: benchItems, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	rng := rand.New(rand.NewSource(7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -298,11 +298,11 @@ func BenchmarkClusterJoin(b *testing.B) {
 // replica re-seating. Each iteration joins a fresh peer outside the timer
 // so the cluster size holds steady.
 func BenchmarkClusterRecover(b *testing.B) {
-	c, _, err := driver.BuildCluster(64, benchItems, 5)
+	c, _, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: 64, Items: benchItems, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()
 	restored := 0
@@ -334,11 +334,11 @@ func BenchmarkClusterRecover(b *testing.B) {
 func BenchmarkClusterThroughputCrashChurn(b *testing.B) {
 	// A private cluster: crashes change the composition, which must not
 	// leak into the benchmarks sharing the cached clusters.
-	c, keys, err := driver.BuildCluster(benchPeers, benchItems, 6)
+	c, keys, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: benchPeers, Items: benchItems, Seed: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	b.ResetTimer()
 	var rep driver.Report
 	for i := 0; i < b.N; i++ {
@@ -364,11 +364,11 @@ func BenchmarkClusterThroughputCrashChurn(b *testing.B) {
 // handoff; each iteration joins a fresh peer outside the timer so the
 // cluster size holds steady.
 func BenchmarkClusterDepart(b *testing.B) {
-	c, _, err := driver.BuildCluster(64, benchItems, 4)
+	c, _, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: 64, Items: benchItems, Seed: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	rng := rand.New(rand.NewSource(8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@
 //
 // Drive a workload through the running cluster with
 //
-//	batonsim -mode throughput -transport tcp -seedaddr 127.0.0.1:7331
+//	batonsim -mode run -transport tcp -seedaddr 127.0.0.1:7331
 //
 // which attaches as a pure data-plane client. See examples/multiprocess
 // for the full walkthrough.

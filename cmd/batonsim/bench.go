@@ -16,15 +16,15 @@ import (
 )
 
 type benchOptions struct {
-	peers, items, clients, ops int
-	seed                       int64
-	out                        string
-	requireSpeedup             float64
-	fanout                     int
-	compareOverlays            bool
-	traceSample                int
-	metricsOut                 string
-	transport, listen          string
+	// cluster is the matrix cluster; the sweep, skew, overlay and TCP cells
+	// build fresh clusters from it with their own seeds.
+	cluster         driver.ClusterSpec
+	clients, ops    int
+	out             string
+	requireSpeedup  float64
+	compareOverlays bool
+	traceSample     int
+	metricsOut      string
 }
 
 // benchCase is one cell of the fixed benchmark matrix. Cells that feed the
@@ -90,6 +90,15 @@ type benchReport struct {
 	Results    []benchResult `json:"results"`
 }
 
+// fresh returns the spec of a cluster built next to the matrix one: the
+// matrix spec at a seed offset, on a free port if it runs over tcp.
+func (o benchOptions) fresh(seedOffset int64) driver.ClusterSpec {
+	spec := o.cluster
+	spec.Seed += seedOffset
+	spec.Listen = ""
+	return spec
+}
+
 // gateMargin softens the -requirespeedup comparison: the gate cells are
 // best-of-3, but machine noise between the direct and overlay measurements
 // can still be a few percent, and the gate exists to catch regressions, not
@@ -110,13 +119,10 @@ func runBench(o benchOptions) {
 	if o.clients <= 0 {
 		o.clients = 8
 	}
-	matrixFanout := max(2, o.fanout)
-	matrixTransport := o.transport
-	if matrixTransport == "" {
-		matrixTransport = "local"
-	}
-	fmt.Printf("building live cluster: %d peers, %d items, fanout %d, transport %s ...\n", o.peers, o.items, matrixFanout, matrixTransport)
-	cluster, keys, stop, err := buildScenarioCluster(matrixTransport, o.listen, o.peers, o.items, o.seed, workload.Uniform, 0, o.fanout)
+	matrixFanout := max(2, o.cluster.Fanout)
+	matrixTransport := o.cluster.Transport
+	fmt.Printf("building live cluster: %d peers, %d items, fanout %d, transport %s ...\n", o.cluster.Peers, o.cluster.Items, matrixFanout, matrixTransport)
+	cluster, keys, stop, err := driver.BuildCluster(o.cluster)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,14 +132,14 @@ func runBench(o benchOptions) {
 		Clients: o.clients,
 		Ops:     o.ops,
 		Keys:    keys,
-		Seed:    o.seed,
+		Seed:    o.cluster.Seed,
 	}
 	with := func(mut func(*driver.Config)) driver.Config {
 		cfg := base
 		mut(&cfg)
 		return cfg
 	}
-	churn := max(1, o.peers/8)
+	churn := max(1, o.cluster.Peers/8)
 	// The quiesced comparisons run first; the churn and faultload cells
 	// mutate the composition, so they close the shared-cluster matrix.
 	cases := []benchCase{
@@ -183,11 +189,11 @@ func runBench(o benchOptions) {
 	driver.Run(cluster, with(func(c *driver.Config) { c.GetFraction = 1; c.Ops = 500; c.Route = p2p.RouteDirect }))
 
 	report := benchReport{
-		Peers:      o.peers,
-		Items:      o.items,
+		Peers:      o.cluster.Peers,
+		Items:      o.cluster.Items,
 		Clients:    o.clients,
 		OpsPerCase: o.ops,
-		Seed:       o.seed,
+		Seed:       o.cluster.Seed,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	fmt.Printf("%-24s %-8s %12s %10s %10s %10s %12s %10s\n",
@@ -273,7 +279,9 @@ func runBench(o benchOptions) {
 	}{{"zipf1.0-nobalance", false}, {"zipf1.0-autobalance", true}} {
 		var best benchResult
 		for rep := 0; rep < 3; rep++ {
-			sc, skeys, scStop, err := buildScenarioCluster(matrixTransport, "", o.peers, o.items, o.seed+7, workload.Zipf, 1.0, o.fanout)
+			spec := o.fresh(7)
+			spec.ZipfTheta = 1.0
+			sc, skeys, scStop, err := driver.BuildCluster(spec)
 			if err != nil {
 				fatal(err)
 			}
@@ -281,7 +289,7 @@ func runBench(o benchOptions) {
 				Clients:      o.clients,
 				Ops:          o.ops,
 				Keys:         skeys,
-				Seed:         o.seed,
+				Seed:         o.cluster.Seed,
 				GetFraction:  0.7,
 				PutFraction:  0.3,
 				Route:        p2p.RouteDirect,
@@ -293,7 +301,7 @@ func runBench(o benchOptions) {
 			if skew.autobalance {
 				// Quiesce the balancer so the recorded ratio is its converged
 				// result, not a race against the last ticker fire.
-				if _, err := sc.BalanceUntilStable(p2p.AutoBalanceConfig{}, 8*o.peers); err != nil {
+				if _, err := sc.BalanceUntilStable(p2p.AutoBalanceConfig{}, 8*o.cluster.Peers); err != nil {
 					fatal(err)
 				}
 			}
@@ -382,17 +390,19 @@ func runBench(o benchOptions) {
 // until after the baseline JSON is on disk so a red sweep still leaves
 // its rows behind.
 func runPlanSweep(o benchOptions, measure func(*p2p.Cluster, driver.Config) benchResult, record func(benchResult)) func() {
-	fmt.Printf("--- range-plan selectivity sweep (serial vs parallel vs adaptive, %d peers) ---\n", o.peers)
-	c, keys, err := driver.BuildClusterFanout(o.peers, o.items, o.seed+23, o.fanout)
+	fmt.Printf("--- range-plan selectivity sweep (serial vs parallel vs adaptive, %d peers) ---\n", o.cluster.Peers)
+	spec := o.fresh(23)
+	spec.Transport = "local"
+	c, keys, stop, err := driver.BuildCluster(spec)
 	if err != nil {
 		fatal(err)
 	}
-	defer c.Stop()
+	defer stop()
 	cells := []struct {
 		name string
 		sel  float64
 	}{
-		{"narrow", 1.0 / float64(max(1, o.peers))},
+		{"narrow", 1.0 / float64(max(1, o.cluster.Peers))},
 		{"mid", 0.25},
 		{"wide", 1.0},
 	}
@@ -405,7 +415,7 @@ func runPlanSweep(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 			Clients:          o.clients,
 			Ops:              opsPerCell,
 			Keys:             keys,
-			Seed:             o.seed,
+			Seed:             o.cluster.Seed,
 			RangeFraction:    1,
 			RangeSelectivity: cell.sel,
 		}
@@ -420,7 +430,7 @@ func runPlanSweep(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 				}
 			}
 			best.Name = fmt.Sprintf("sweep-%s-%s", cell.name, plan)
-			best.Fanout = max(2, o.fanout)
+			best.Fanout = max(2, o.cluster.Fanout)
 			record(best)
 			results[cellKey{cell.name, plan}] = best
 		}
@@ -470,10 +480,12 @@ func runPlanSweep(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 // binary tree from the other side. The section gates itself: m=8 must beat
 // binary on hops_p50, or the whole point of BATON* has regressed.
 func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Config) benchResult, record func(benchResult)) {
-	fmt.Printf("--- three-way overlay comparison (binary vs BATON* vs Chord, %d peers) ---\n", o.peers)
+	fmt.Printf("--- three-way overlay comparison (binary vs BATON* vs Chord, %d peers) ---\n", o.cluster.Peers)
 	hopsP50 := map[int]float64{}
 	for _, m := range []int{2, 4, 8} {
-		c, keys, err := driver.BuildClusterFanout(o.peers, o.items, o.seed+13, m)
+		spec := o.fresh(13)
+		spec.Fanout, spec.Transport = m, "local"
+		c, keys, stop, err := driver.BuildCluster(spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -481,7 +493,7 @@ func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Conf
 			Clients:     o.clients,
 			Ops:         o.ops,
 			Keys:        keys,
-			Seed:        o.seed,
+			Seed:        o.cluster.Seed,
 			GetFraction: 1,
 		}
 		// Warm the fresh cluster so the row measures routing, not cold-start.
@@ -495,7 +507,7 @@ func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Conf
 				best = res
 			}
 		}
-		c.Stop()
+		stop()
 		best.Name = fmt.Sprintf("overlay-get-m%d", m)
 		best.Fanout = m
 		hopsP50[m] = best.HopsP50
@@ -505,15 +517,15 @@ func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Conf
 	// The Chord cell: a message-counting simulator, not a live cluster, so
 	// only the hop and message columns are comparable; latency and ops/sec
 	// reflect simulator speed and are left at their measured values.
-	ring := chord.NewRing(chord.Config{Seed: o.seed + 13})
-	for ring.Size() < o.peers {
+	ring := chord.NewRing(chord.Config{Seed: o.cluster.Seed + 13})
+	for ring.Size() < o.cluster.Peers {
 		if _, _, err := ring.Join(ring.RandomNode()); err != nil {
 			fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(o.seed + 17))
-	gen := workload.NewGenerator(workload.Config{Seed: o.seed + 13})
-	keys := make([]keyspace.Key, o.items)
+	rng := rand.New(rand.NewSource(o.cluster.Seed + 17))
+	gen := workload.NewGenerator(workload.Config{Seed: o.cluster.Seed + 13})
+	keys := make([]keyspace.Key, o.cluster.Items)
 	for i := range keys {
 		keys[i] = gen.NextKey()
 		if _, err := ring.Insert(ring.RandomNode(), keys[i]); err != nil {
@@ -558,7 +570,9 @@ func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Conf
 // the mercy of the kernel's socket paths in a way the in-process rows are
 // not.
 func runTCPColumn(o benchOptions, measure func(*p2p.Cluster, driver.Config) benchResult, record func(benchResult)) {
-	c, keys, stop, err := buildScenarioCluster("tcp", "", o.peers, o.items, o.seed+31, workload.Uniform, 0, o.fanout)
+	spec := o.fresh(31)
+	spec.Transport = "tcp"
+	c, keys, stop, err := driver.BuildCluster(spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -567,7 +581,7 @@ func runTCPColumn(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 		Clients: o.clients,
 		Ops:     o.ops,
 		Keys:    keys,
-		Seed:    o.seed,
+		Seed:    o.cluster.Seed,
 	}
 	with := func(mut func(*driver.Config)) driver.Config {
 		cfg := base
@@ -602,7 +616,7 @@ func runTCPColumn(o benchOptions, measure func(*p2p.Cluster, driver.Config) benc
 			}
 		}
 		best.Name = bc.name
-		best.Fanout = max(2, o.fanout)
+		best.Fanout = max(2, o.cluster.Fanout)
 		best.Transport = "tcp"
 		record(best)
 	}

@@ -1,20 +1,23 @@
 // Command batonsim reproduces the evaluation of the BATON paper and drives
-// the live cluster. In the default figures mode it runs the experiment
-// behind each panel of Figure 8 and prints the resulting series as aligned
-// text tables (one row per x value, one column per plotted line). The
-// throughput mode runs the closed-loop concurrent workload driver against a
-// live goroutine-per-peer cluster and reports ops/sec plus latency
-// percentiles; the churnload and faultload modes run the same workload
-// under membership churn and under crash-and-repair faults respectively,
-// ending with invariant audits; the skewload mode drives a Zipf-skewed
-// data set and key stream at the cluster, optionally with the background
-// load balancer shedding the skew (-autobalance), and reports the
-// max/average load-imbalance ratio (-compare gates balancer-on against
-// balancer-off); the rangecmp mode benchmarks the parallel range fan-out
-// against the sequential adjacent-chain walk; the bench mode runs the
-// fixed performance matrix (overlay vs direct routing, bulk, serial vs
-// parallel range, throughput under churn, faults and skew) and writes the
-// tracked baseline BENCH_p2p.json.
+// the live cluster. It has three modes:
+//
+//   - figures (the default) runs the experiment behind each panel of
+//     Figure 8 and prints the resulting series as aligned text tables (one
+//     row per x value, one column per plotted line).
+//   - run builds a live goroutine-per-peer cluster, drives the closed-loop
+//     concurrent workload at it and reports ops/sec plus latency
+//     percentiles. The flags pick the scenario: steady traffic, online joins
+//     and graceful departures (-joins, -departs), crashes and repairs
+//     (-kill, -recover), and Zipf-skewed data and keys (-theta) with the
+//     background load balancer (-autobalance). Every run ends with an audit:
+//     peers still dead are repaired, the structural and replication
+//     invariants are checked, and the max/average load-imbalance ratio is
+//     printed. -compare runs balancer-off then balancer-on and fails unless
+//     the ratio drops. With -seedaddr the mode attaches to a running batond
+//     coordinator instead of building a cluster and skips the audit.
+//   - bench runs the fixed performance matrix (overlay vs direct routing,
+//     bulk, the range plans, throughput under churn, faults and skew) and
+//     writes the tracked baseline BENCH_p2p.json.
 //
 // Usage:
 //
@@ -23,14 +26,13 @@
 //	batonsim -full            # paper-scale parameters (1,000–10,000 peers)
 //	batonsim -sizes 500,1000  # custom network sizes
 //	batonsim -list            # list the reproducible figures
-//	batonsim -mode throughput -peers 256 -clients 32 -ops 50000 -kill 10 -route direct
-//	batonsim -mode churnload -peers 128 -joins 32 -departs 32 -ops 50000
-//	batonsim -mode faultload -peers 128 -kill 16 -recover 16 -ops 50000
-//	batonsim -mode skewload -peers 64 -theta 1.0 -autobalance -compare
-//	batonsim -mode rangecmp -peers 256 -selectivity 0.15
-//	batonsim -mode rangecmp -peers 64 -plan adaptive -rangedist bimodal
+//	batonsim -mode run -peers 256 -clients 32 -ops 50000 -kill 10 -route direct
+//	batonsim -mode run -peers 128 -joins 32 -departs 32 -ops 50000
+//	batonsim -mode run -peers 128 -kill 16 -recover 16 -ops 50000
+//	batonsim -mode run -peers 64 -theta 1.0 -compare
+//	batonsim -mode run -peers 64 -get 0 -put 0 -range 1 -plan adaptive -rangedist bimodal
+//	batonsim -mode run -peers 64 -fanout 4               # BATON* overlay, m-ary tree
 //	batonsim -mode bench -peers 64 -requirespeedup 1.0
-//	batonsim -mode throughput -peers 64 -fanout 4        # BATON* overlay, m-ary tree
 //	batonsim -mode bench -peers 64 -compareoverlays      # binary vs BATON* m=4/8 vs Chord
 package main
 
@@ -38,37 +40,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"baton/internal/core"
 	"baton/internal/experiments"
-	"baton/internal/keyspace"
 	"baton/internal/p2p"
 	"baton/internal/workload"
 	"baton/internal/workload/driver"
 )
 
-// buildScenarioCluster builds a scenario's live cluster over the selected
-// transport: in-process channels ("local") or a loopback-TCP pair ("tcp",
-// coordinator plus a daemon half hosting half the peers, so every
-// cross-half message crosses the wire). The returned stop function
-// replaces Cluster.Stop — over tcp it tears down the daemon half too.
-func buildScenarioCluster(transport, listen string, peers, items int, seed int64, dist workload.Distribution, theta float64, fanout int) (*p2p.Cluster, []keyspace.Key, func(), error) {
-	if transport == "tcp" {
-		c, stop, keys, err := driver.BuildClusterTCPDistFanout(peers, items, seed, dist, theta, fanout, listen)
-		return c, keys, stop, err
-	}
-	c, keys, err := driver.BuildClusterDistFanout(peers, items, seed, dist, theta, fanout)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, keys, c.Stop, nil
-}
-
 func main() {
 	var (
-		mode    = flag.String("mode", "figures", "figures, throughput, churnload, faultload, skewload, rangecmp or bench")
+		mode    = flag.String("mode", "figures", "figures, run or bench")
 		figure  = flag.String("figure", "", "figure to reproduce (8a..8i); empty means all")
 		full    = flag.Bool("full", false, "use the paper-scale parameters (slow: tens of minutes)")
 		list    = flag.Bool("list", false, "list reproducible figures and exit")
@@ -79,7 +64,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		verbose = flag.Bool("v", false, "print the notes recorded for each figure")
 
-		// Live-cluster flags (throughput and rangecmp modes).
+		// Live-cluster flags (run and bench modes).
 		peers       = flag.Int("peers", 256, "live cluster size")
 		items       = flag.Int("items", 20_000, "items pre-loaded into the cluster")
 		clients     = flag.Int("clients", 32, "concurrent client goroutines")
@@ -91,134 +76,90 @@ func main() {
 		selectivity = flag.Float64("selectivity", 0.01, "range query selectivity (fraction of the domain)")
 		fanout      = flag.Int("fanout", 2, "overlay tree fanout m (2 = binary BATON, >2 = BATON*)")
 		kill        = flag.Int("kill", 0, "peers to kill while the workload runs")
-		joins       = flag.Int("joins", 0, "peers that join online while the workload runs (churnload mode)")
-		departs     = flag.Int("departs", 0, "peers that depart gracefully while the workload runs (churnload mode)")
-		recovers    = flag.Int("recover", -1, "crash repairs to run while the workload runs (faultload mode; -1 means match -kill)")
-		plan        = flag.String("plan", "", "range execution plan: serial, parallel or adaptive (rangecmp default: compare all three)")
+		joins       = flag.Int("joins", 0, "peers that join online while the workload runs")
+		departs     = flag.Int("departs", 0, "peers that depart gracefully while the workload runs")
+		recovers    = flag.Int("recover", 0, "crash repairs to run while the workload runs")
+		plan        = flag.String("plan", "", "range execution plan: serial, parallel or adaptive (default parallel)")
 		rangeDist   = flag.String("rangedist", "", "range width distribution around -selectivity: fixed, uniform or bimodal")
 		bulkSize    = flag.Int("bulk", 0, "batch puts through BulkPut in groups of this size (0 = singleton puts)")
-		rcQueries   = flag.Int("queries-rangecmp", 200, "range queries per mode in rangecmp mode")
 		route       = flag.String("route", "overlay", "singleton routing mode: overlay (paper-faithful per-hop) or direct (one-hop route cache)")
+		theta       = flag.Float64("theta", 0, "Zipf skew of the pre-loaded data and the key stream (0 = uniform)")
+		autobalance = flag.Bool("autobalance", false, "run the background load balancer during the workload")
+		compare     = flag.Bool("compare", false, "run balancer-off then balancer-on on fresh clusters and fail unless the final imbalance ratio drops")
 
-		// Wire-transport flags (workload and bench modes).
-		transport = flag.String("transport", "local", "message transport for live-cluster modes: local (in-process channels) or tcp (a loopback wire pair: coordinator + daemon half)")
+		// Wire-transport flags (run and bench modes).
+		transport = flag.String("transport", "local", "message transport: local (in-process channels) or tcp (a loopback wire pair: coordinator + daemon half)")
 		listen    = flag.String("listen", "", "tcp transport: the coordinator's listen address (default 127.0.0.1:0, a free loopback port)")
-		seedAddr  = flag.String("seedaddr", "", "tcp transport, throughput mode: attach to a running batond coordinator at this address instead of building a cluster in-process")
-
-		// Skewload-mode flags.
-		theta       = flag.Float64("theta", 1.0, "skewload mode: Zipf skew parameter of the data set and key stream")
-		autobalance = flag.Bool("autobalance", false, "skewload mode: run the background load balancer during the workload")
-		compare     = flag.Bool("compare", false, "skewload mode: run balancer-off then balancer-on and fail unless the final imbalance ratio improves")
+		seedAddr  = flag.String("seedaddr", "", "tcp transport, run mode: attach to a running batond coordinator at this address instead of building a cluster (skips the audit)")
 
 		// Bench-mode flags.
 		benchOut        = flag.String("out", "BENCH_p2p.json", "bench mode: file the benchmark baseline is written to")
 		requireSpeedup  = flag.Float64("requirespeedup", 0, "bench mode: fail unless direct-mode singleton ops/sec exceeds overlay-mode by this factor (0 = no gate)")
 		compareOverlays = flag.Bool("compareoverlays", false, "bench mode: add the three-way overlay cells (binary BATON vs BATON* m=4/m=8 vs Chord) to the matrix")
 
-		// Flight-recorder flags (workload and bench modes).
+		// Flight-recorder flags (run and bench modes).
 		traceSample = flag.Int("tracesample", 0, "sample 1 in N requests for hop-level tracing (0 = off); in bench mode also gates the sampling overhead on the direct-get row")
 		metricsOut  = flag.String("metricsout", "", "write the flight-recorder dump (metrics registry, structural-op journal, sampled traces) to this JSON file after the run")
 	)
 	flag.Parse()
-	if err := validateModeFlags(*mode); err != nil {
-		fatal(err)
-	}
 	routeMode, err := parseRoute(*route)
 	if err != nil {
 		fatal(err)
 	}
-	if !core.ValidFanout(*fanout) {
-		fatal(fmt.Errorf("invalid -fanout %d (want 2..%d)", *fanout, core.MaxFanout))
+	dist := workload.Uniform
+	if *theta > 0 {
+		dist = workload.Zipf
 	}
-	// Flags the user set explicitly, so "-kill 0" (an intentional no-crash
-	// baseline) is distinguishable from an unset flag and never silently
-	// overridden by a mode's default churn.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateTransportFlags(*transport, *listen, *seedAddr, explicit); err != nil {
+	s := scenario{
+		cluster: driver.ClusterSpec{
+			Peers: *peers, Items: *items, Seed: *seed, ZipfTheta: *theta,
+			Fanout: *fanout, Transport: *transport, Listen: *listen,
+		},
+		workload: driver.Config{
+			Clients:          *clients,
+			Ops:              *ops,
+			GetFraction:      *getFrac,
+			PutFraction:      *putFrac,
+			DeleteFraction:   *delFrac,
+			RangeFraction:    *rangeFrac,
+			RangeSelectivity: *selectivity,
+			Plan:             *plan,
+			RangeDist:        *rangeDist,
+			Route:            routeMode,
+			BulkSize:         *bulkSize,
+			KillPeers:        *kill,
+			RecoverPeers:     *recovers,
+			JoinPeers:        *joins,
+			DepartPeers:      *departs,
+			Distribution:     dist,
+			ZipfTheta:        *theta,
+			AutoBalance:      *autobalance,
+			TraceSample:      *traceSample,
+			Seed:             *seed,
+		},
+		seedAddr:   *seedAddr,
+		compare:    *compare,
+		metricsOut: *metricsOut,
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*mode, set, s); err != nil {
 		fatal(err)
 	}
 
 	switch *mode {
-	case "figures":
-	case "throughput":
-		runThroughput(throughputOptions{
-			peers: *peers, items: *items, clients: *clients, ops: *ops,
-			getFrac: *getFrac, putFrac: *putFrac, delFrac: *delFrac, rangeFrac: *rangeFrac,
-			selectivity: *selectivity, kill: *kill,
-			plan: *plan, rangeDist: *rangeDist,
-			bulkSize: *bulkSize, route: routeMode, seed: *seed, fanout: *fanout,
-			traceSample: *traceSample, metricsOut: *metricsOut,
-			transport: *transport, listen: *listen, seedAddr: *seedAddr,
-		})
+	case "run":
+		if err := runScenario(s); err != nil {
+			fatal(err)
+		}
 		return
 	case "bench":
 		runBench(benchOptions{
-			peers: *peers, items: *items, clients: *clients, ops: *ops,
-			seed: *seed, out: *benchOut, requireSpeedup: *requireSpeedup,
-			fanout: *fanout, compareOverlays: *compareOverlays,
+			cluster: s.cluster, clients: *clients, ops: *ops,
+			out: *benchOut, requireSpeedup: *requireSpeedup, compareOverlays: *compareOverlays,
 			traceSample: *traceSample, metricsOut: *metricsOut,
-			transport: *transport, listen: *listen,
 		})
 		return
-	case "churnload":
-		o := churnloadOptions{
-			peers: *peers, items: *items, clients: *clients, ops: *ops,
-			getFrac: *getFrac, putFrac: *putFrac, delFrac: *delFrac, rangeFrac: *rangeFrac,
-			selectivity: *selectivity, joins: *joins, departs: *departs, kill: *kill,
-			route: routeMode, seed: *seed, fanout: *fanout,
-			traceSample: *traceSample, metricsOut: *metricsOut,
-			transport: *transport, listen: *listen,
-		}
-		if !explicit["joins"] && !explicit["departs"] && !explicit["kill"] {
-			// No churn flags at all: default to steady-state churn turning
-			// over ~1/4 of the cluster (at least one event each, so tiny
-			// clusters still churn). Explicitly requested values — zero
-			// included — are left exactly as given.
-			o.joins, o.departs = max(1, *peers/4), max(1, *peers/4)
-		}
-		runChurnLoad(o)
-		return
-	case "faultload":
-		o := faultloadOptions{
-			peers: *peers, items: *items, clients: *clients, ops: *ops,
-			getFrac: *getFrac, putFrac: *putFrac, delFrac: *delFrac, rangeFrac: *rangeFrac,
-			selectivity: *selectivity, kill: *kill, recovers: *recovers,
-			route: routeMode, seed: *seed, fanout: *fanout,
-			traceSample: *traceSample, metricsOut: *metricsOut,
-			transport: *transport, listen: *listen,
-		}
-		if !explicit["kill"] {
-			// -kill not given: default to crashing (and repairing) ~1/4 of
-			// the cluster, at least one peer, so the mode exercises the
-			// kill -> ErrOwnerDown -> recover -> readable cycle out of the
-			// box. An explicit "-kill 0" baseline is honoured as given.
-			o.kill = max(1, *peers/4)
-		}
-		if o.recovers < 0 {
-			o.recovers = o.kill
-		}
-		runFaultLoad(o)
-		return
-	case "skewload":
-		runSkewLoad(skewloadOptions{
-			peers: *peers, items: *items, clients: *clients, ops: *ops,
-			getFrac: *getFrac, putFrac: *putFrac, delFrac: *delFrac, rangeFrac: *rangeFrac,
-			selectivity: *selectivity, theta: *theta, autobalance: *autobalance,
-			compare: *compare, route: routeMode, seed: *seed, fanout: *fanout,
-			traceSample: *traceSample, metricsOut: *metricsOut,
-			transport: *transport, listen: *listen,
-		})
-		return
-	case "rangecmp":
-		runRangeCompare(rangecmpOptions{
-			peers: *peers, items: *items, queries: *rcQueries,
-			selectivity: *selectivity, seed: *seed, fanout: *fanout,
-			plan: *plan, rangeDist: *rangeDist,
-		})
-		return
-	default:
-		fatal(fmt.Errorf("unknown mode %q (want figures, throughput, churnload, faultload, skewload, rangecmp or bench)", *mode))
 	}
 
 	if *list {
@@ -271,129 +212,74 @@ func main() {
 	}
 }
 
-// validateModeFlags rejects churn/fault flags in modes that would silently
-// ignore them: a run that drops -kill or -joins on the floor looks like a
-// clean pass of a scenario that never executed, which is worse than an
-// error. Only flags the user set explicitly are checked.
-func validateModeFlags(mode string) error {
-	workloadModes := map[string]bool{"throughput": true, "churnload": true, "faultload": true, "skewload": true}
-	allowed := map[string]map[string]bool{
-		"throughput": {"kill": true, "route": true, "bulk": true, "plan": true, "rangedist": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
-		"churnload":  {"kill": true, "joins": true, "departs": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
-		"faultload":  {"kill": true, "recover": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
-		"skewload":   {"theta": true, "autobalance": true, "compare": true, "route": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
-		"bench":      {"out": true, "requirespeedup": true, "compareoverlays": true, "tracesample": true, "metricsout": true, "transport": true, "listen": true},
-	}
-	var bad []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "kill", "joins", "departs", "recover", "route", "out", "requirespeedup",
-			"theta", "autobalance", "compare", "compareoverlays", "bulk",
-			"tracesample", "metricsout", "transport", "listen":
-			if !allowed[mode][f.Name] {
-				bad = append(bad, "-"+f.Name)
-			}
-		case "seedaddr":
-			if mode != "throughput" {
-				bad = append(bad, "-"+f.Name)
-			}
-		case "get", "put", "del", "range":
-			// The mix fractions are honoured by every workload mode; bench,
-			// rangecmp and figures run fixed mixes and would silently drop
-			// them.
-			if !workloadModes[mode] {
-				bad = append(bad, "-"+f.Name)
-			}
-		case "selectivity":
-			if !workloadModes[mode] && mode != "rangecmp" {
-				bad = append(bad, "-"+f.Name)
-			}
-		case "plan", "rangedist":
-			// The range plan and width distribution shape the throughput
-			// workload's range mix and the rangecmp comparison; everywhere
-			// else they would be silently dropped.
-			if !allowed[mode][f.Name] && mode != "rangecmp" {
-				bad = append(bad, "-"+f.Name)
-			}
-		case "fanout":
-			// The overlay fanout shapes every live-cluster mode and the bench
-			// matrix; the figures mode runs its own per-figure parameter sets.
-			if !workloadModes[mode] && mode != "rangecmp" && mode != "bench" {
-				bad = append(bad, "-"+f.Name)
-			}
-		}
-	})
-	if len(bad) == 0 {
-		return nil
-	}
-	workloads := []string{"throughput", "churnload", "faultload", "skewload"}
-	modes := map[string][]string{
-		"kill":            {"throughput", "churnload", "faultload"},
-		"joins":           {"churnload"},
-		"departs":         {"churnload"},
-		"recover":         {"faultload"},
-		"route":           workloads,
-		"out":             {"bench"},
-		"requirespeedup":  {"bench"},
-		"compareoverlays": {"bench"},
-		"fanout":          append(append([]string{}, workloads...), "rangecmp", "bench"),
-		"theta":           {"skewload"},
-		"autobalance":     {"skewload"},
-		"compare":         {"skewload"},
-		"bulk":            {"throughput"},
-		"plan":            {"throughput", "rangecmp"},
-		"rangedist":       {"throughput", "rangecmp"},
-		"tracesample":     append(append([]string{}, workloads...), "bench"),
-		"metricsout":      append(append([]string{}, workloads...), "bench"),
-		"transport":       append(append([]string{}, workloads...), "bench"),
-		"listen":          append(append([]string{}, workloads...), "bench"),
-		"seedaddr":        {"throughput"},
-		"get":             workloads,
-		"put":             workloads,
-		"del":             workloads,
-		"range":           workloads,
-		"selectivity":     append(append([]string{}, workloads...), "rangecmp"),
-	}
-	hints := make([]string, 0, len(bad))
-	for _, f := range bad {
-		hints = append(hints, fmt.Sprintf("%s (only meaningful in mode %s)", f, strings.Join(modes[strings.TrimPrefix(f, "-")], "/")))
-	}
-	return fmt.Errorf("mode %q ignores flag(s) %s; drop them or switch mode", mode, strings.Join(hints, ", "))
+// modeFlags lists, for the live-cluster modes, the flags that only some
+// modes read. Such a flag given to a mode that does not list it is an error:
+// a run that drops -kill or -joins on the floor looks like a clean pass of a
+// scenario that never executed, which is worse than an error. The figures
+// mode reads none of them.
+var modeFlags = map[string][]string{
+	"run": {"get", "put", "del", "range", "selectivity", "plan", "rangedist", "bulk", "route",
+		"kill", "joins", "departs", "recover", "theta", "autobalance", "compare", "seedaddr",
+		"fanout", "transport", "listen", "tracesample", "metricsout"},
+	"bench": {"out", "requirespeedup", "compareoverlays",
+		"fanout", "transport", "listen", "tracesample", "metricsout"},
 }
 
-// validateTransportFlags enforces the wire-transport flag combinations:
-// -transport names a known medium, -listen and -seedaddr only mean
-// something over tcp, and -seedaddr (attach to an external coordinator)
-// excludes both -listen (we are not the coordinator) and churn flags
-// (structural operations are the coordinator's alone). Like
-// validateModeFlags, a bad combination exits 1 instead of being silently
-// dropped.
-func validateTransportFlags(transport, listen, seedAddr string, explicit map[string]bool) error {
-	switch transport {
-	case "local", "tcp":
-	default:
-		return fmt.Errorf("unknown -transport %q (want local or tcp)", transport)
+// checkFlags rejects a mode or flag combination that would be silently
+// ignored or cannot work, before any cluster is built. set names the flags
+// given on the command line; s carries their values.
+func checkFlags(mode string, set map[string]bool, s scenario) error {
+	accepted, ok := modeFlags[mode]
+	if !ok && mode != "figures" {
+		return fmt.Errorf("unknown mode %q (want figures, run or bench)", mode)
 	}
-	if transport != "tcp" {
-		if listen != "" {
+	var hints []string
+	seen := map[string]bool{}
+	for _, f := range slices.Concat(modeFlags["run"], modeFlags["bench"]) {
+		if !set[f] || seen[f] || slices.Contains(accepted, f) {
+			continue
+		}
+		seen[f] = true
+		var in []string
+		for _, m := range []string{"run", "bench"} {
+			if slices.Contains(modeFlags[m], f) {
+				in = append(in, m)
+			}
+		}
+		hints = append(hints, fmt.Sprintf("-%s (only meaningful in mode %s)", f, strings.Join(in, "/")))
+	}
+	if len(hints) > 0 {
+		return fmt.Errorf("mode %q ignores flag(s) %s; drop them or switch mode", mode, strings.Join(hints, ", "))
+	}
+
+	switch t := s.cluster.Transport; t {
+	case "local":
+		if s.cluster.Listen != "" {
 			return fmt.Errorf("-listen requires -transport tcp")
 		}
-		if seedAddr != "" {
+		if s.seedAddr != "" {
 			return fmt.Errorf("-seedaddr requires -transport tcp")
 		}
-		return nil
+	case "tcp":
+	default:
+		return fmt.Errorf("unknown -transport %q (want local or tcp)", t)
 	}
-	if seedAddr != "" {
-		if listen != "" {
-			return fmt.Errorf("-seedaddr and -listen are mutually exclusive: attaching to a coordinator at %s means not listening as one", seedAddr)
+	if s.seedAddr != "" {
+		if s.cluster.Listen != "" {
+			return fmt.Errorf("-seedaddr and -listen are mutually exclusive: attaching to a coordinator at %s means not listening as one", s.seedAddr)
 		}
-		for _, churn := range []string{"kill", "joins", "departs", "recover", "autobalance"} {
-			if explicit[churn] {
-				return fmt.Errorf("-%s cannot be combined with -seedaddr: structural operations belong to the coordinator, and an attached client is not one", churn)
+		// Structural operations and the balancer belong to the coordinator,
+		// and AttachCluster preloads uniform keys.
+		for _, f := range []string{"kill", "joins", "departs", "recover", "autobalance", "theta", "compare"} {
+			if set[f] {
+				return fmt.Errorf("-%s cannot be combined with -seedaddr: an attached client is not the coordinator", f)
 			}
 		}
 	}
-	return nil
+	if !core.ValidFanout(s.cluster.Fanout) {
+		return fmt.Errorf("invalid -fanout %d (want 2..%d)", s.cluster.Fanout, core.MaxFanout)
+	}
+	return s.workload.Validate()
 }
 
 // parseRoute maps the -route flag to a routing mode.

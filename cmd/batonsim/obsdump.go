@@ -21,9 +21,9 @@ type obsDump struct {
 
 // writeObsDump snapshots the cluster's flight recorder into path as JSON.
 // An empty path means -metricsout was not given and nothing is written.
-func writeObsDump(c *p2p.Cluster, path string) {
+func writeObsDump(c *p2p.Cluster, path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	dump := obsDump{
 		Metrics: c.Metrics(),
@@ -32,11 +32,12 @@ func writeObsDump(c *p2p.Cluster, path string) {
 	}
 	data, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("flight-recorder dump written to %s (%d peers, %d journal events, %d traces)\n",
 		path, len(dump.Metrics.Peers), len(dump.Events), len(dump.Traces))
+	return nil
 }

@@ -29,11 +29,11 @@ import (
 
 func main() {
 	// Build and load a 64-peer overlay with the simulator, then animate it.
-	cluster, keys, err := driver.BuildCluster(64, 10_000, 7)
+	cluster, keys, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: 64, Items: 10_000, Seed: 7})
 	if err != nil {
 		log.Fatalf("build: %v", err)
 	}
-	defer cluster.Stop()
+	defer stop()
 	fmt.Printf("live cluster: %d peer goroutines, %d items\n\n", cluster.Size(), len(keys))
 
 	// --- Act 1: explicit joins and departures -----------------------------

@@ -18,7 +18,7 @@
 //
 //	batond -listen 127.0.0.1:7331 -peers 8 -items 10000     # terminal 1
 //	batond -seed 127.0.0.1:7331 -peers 4                    # terminal 2
-//	batonsim -mode throughput -transport tcp -seedaddr 127.0.0.1:7331   # terminal 3
+//	batonsim -mode run -transport tcp -seedaddr 127.0.0.1:7331   # terminal 3
 //
 // The daemon exits on its own when the coordinator goes away (the seed
 // connection is its lifeline), and the workload client attaches as a pure

@@ -27,11 +27,11 @@ import (
 )
 
 func main() {
-	cluster, keys, err := driver.BuildCluster(256, 20_000, 7)
+	cluster, keys, stop, err := driver.BuildCluster(driver.ClusterSpec{Peers: 256, Items: 20_000, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Stop()
+	defer stop()
 	fmt.Printf("live cluster: %d peers, %d items\n\n", cluster.Size(), len(keys))
 
 	fmt.Println("— mixed workload, healthy cluster —")

@@ -149,7 +149,7 @@ func TestTraceStaleEpochTwoHopsFanout(t *testing.T) {
 // 8, the cluster survives online joins, graceful departures, crashes with
 // repair, and a balancer convergence pass, and the quiesced result passes
 // the full structural and replication audits. This is the cluster-level
-// counterpart of the batonsim churnload/faultload/skewload end-of-run gates.
+// counterpart of the audit that ends every batonsim run-mode scenario.
 func TestClusterChurnFaultBalanceFanout(t *testing.T) {
 	for _, m := range []int{4, 8} {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {

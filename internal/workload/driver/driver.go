@@ -1,11 +1,13 @@
 // Package driver is the closed-loop concurrent workload driver for the live
 // p2p cluster: N client goroutines issue a configurable read/write/range mix
 // (optionally batched through the bulk APIs, optionally under churn) and the
-// run is summarised as ops/sec plus latency percentiles via internal/stats.
-// It lives in its own package, rather than in internal/workload proper,
-// because it drives internal/p2p while the core simulator's tests consume
-// internal/workload's generators — folding it into workload would create an
-// import cycle in the test build.
+// run is summarised as ops/sec, exact latency percentiles over every
+// recorded sample (in fractional microseconds), and hop and queue-wait
+// percentiles from the flight recorder's histograms. It lives in its own
+// package, rather than in internal/workload proper, because it drives
+// internal/p2p while the core simulator's tests consume internal/workload's
+// generators — folding it into workload would create an import cycle in the
+// test build.
 package driver
 
 import (
@@ -27,95 +29,77 @@ import (
 	"baton/internal/workload"
 )
 
-// BuildCluster grows a simulated network to the requested size via random
-// joins, loads it with uniformly distributed items, and animates it as a
-// live cluster — the shared scaffold of the throughput CLI mode, the
-// examples and the benchmarks. The returned keys are the inserted ones
-// (reads drawn from them hit). The caller owns the cluster and must Stop it.
-func BuildCluster(peers, items int, seed int64) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDist(peers, items, seed, workload.Uniform, 0)
+// ClusterSpec describes the live cluster BuildCluster builds.
+type ClusterSpec struct {
+	// Peers is the cluster size.
+	Peers int
+	// Items uniformly or Zipf-distributed keys are pre-loaded.
+	Items int
+	// Seed seeds the overlay's growth and the pre-loaded keys.
+	Seed int64
+	// ZipfTheta > 0 draws the pre-loaded keys from Zipf(ZipfTheta), which
+	// clusters the hot ranks in a contiguous region of the key space, the
+	// way the paper's skew experiments do. The overlay's ranges are grown
+	// by uniform joins either way, so a skewed load lands on a few peers.
+	// Zero loads uniform keys.
+	ZipfTheta float64
+	// Fanout is the tree fanout m: 2 (or 0) grows the paper's binary
+	// overlay, larger values the BATON* m-ary generalisation.
+	Fanout int
+	// Transport is "local" (or empty) for in-process channels, or "tcp"
+	// for a loopback wire pair: a coordinator hosting roughly half the
+	// peers listens on Listen ("" picks a free loopback port), and a
+	// daemon half in the same OS process joins through the wire and hosts
+	// the rest, so every cross-half message, handoff, replica sync and
+	// structural update crosses the transport, as between cmd/batond
+	// processes.
+	Transport string
+	Listen    string
 }
 
-// BuildClusterFanout is BuildCluster with a tree fanout: 2 (or 0) grows the
-// paper's binary overlay, larger values the BATON* m-ary generalisation with
-// routing tables at distances j*m^i. Every workload and churn scenario runs
-// unchanged at any fanout; only the overlay's hop counts differ.
-func BuildClusterFanout(peers, items int, seed int64, fanout int) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDistFanout(peers, items, seed, workload.Uniform, 0, fanout)
-}
-
-// BuildClusterDist is BuildCluster with a key distribution: the pre-loaded
-// items are drawn from dist (workload.Zipf with the given theta skews the
-// stored data the way the paper's skew experiments do, concentrating the
-// hot ranks in a contiguous region of the key space). The overlay's ranges
-// are grown by uniform joins either way, so a skewed load lands on a few
-// peers — the configuration the load balancer exists for.
-func BuildClusterDist(peers, items int, seed int64, dist workload.Distribution, theta float64) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDistFanout(peers, items, seed, dist, theta, 0)
-}
-
-// BuildClusterDistFanout combines the key-distribution and fanout knobs; it
-// is the full-parameter scaffold every other Build variant wraps.
-func BuildClusterDistFanout(peers, items int, seed int64, dist workload.Distribution, theta float64, fanout int) (*p2p.Cluster, []keyspace.Key, error) {
-	if fanout != 0 && !core.ValidFanout(fanout) {
-		return nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", fanout, core.MaxFanout)
+// BuildCluster grows a simulated network to spec.Peers via random joins,
+// loads it with spec.Items keys and animates it as a live cluster — the
+// shared scaffold of cmd/batonsim, the examples and the benchmarks. The
+// returned keys are the inserted ones (reads drawn from them hit). Over tcp
+// the returned cluster is the coordinator: every scenario drives it
+// unchanged. The caller must call the returned stop function instead of
+// Cluster.Stop; over tcp it tears down the daemon half first.
+func BuildCluster(spec ClusterSpec) (*p2p.Cluster, []keyspace.Key, func(), error) {
+	if spec.Fanout != 0 && !core.ValidFanout(spec.Fanout) {
+		return nil, nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", spec.Fanout, core.MaxFanout)
 	}
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < peers {
-		ids := nw.PeerIDs()
-		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
-			return nil, nil, fmt.Errorf("grow cluster: %w", err)
-		}
+	daemonShare := 0
+	switch spec.Transport {
+	case "", "local":
+	case "tcp":
+		daemonShare = spec.Peers / 2
+	default:
+		return nil, nil, nil, fmt.Errorf("build cluster: unknown transport %q (want local or tcp)", spec.Transport)
 	}
-	gen := workload.NewGenerator(workload.Config{Seed: seed + 1, Distribution: dist, ZipfTheta: theta})
-	keys := gen.Keys(items)
-	for _, k := range keys {
-		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
-			return nil, nil, fmt.Errorf("load cluster: %w", err)
-		}
-	}
-	return p2p.NewCluster(nw), keys, nil
-}
-
-// BuildClusterTCP is BuildClusterTCPDistFanout with uniform keys — the
-// loopback-wire counterpart of BuildClusterFanout.
-func BuildClusterTCP(peers, items int, seed int64, fanout int, listen string) (*p2p.Cluster, func(), []keyspace.Key, error) {
-	return BuildClusterTCPDistFanout(peers, items, seed, workload.Uniform, 0, fanout, listen)
-}
-
-// BuildClusterTCPDistFanout builds the same overlay as
-// BuildClusterDistFanout but animates it as a two-process-shaped pair over
-// loopback TCP: a coordinator hosting roughly half the peers listens on the
-// given address ("" picks a free loopback port), and a daemon-side cluster
-// in the same OS process joins through the wire and hosts the other half —
-// so every cross-half message, handoff, replica sync and structural update
-// crosses the transport, exactly as it would between cmd/batond processes.
-// The returned cluster is the coordinator: every scenario (workload mix,
-// churn, kills, audits) drives it unchanged. The returned stop function
-// tears down the daemon first, then the coordinator; the caller must call
-// it instead of Cluster.Stop.
-func BuildClusterTCPDistFanout(peers, items int, seed int64, dist workload.Distribution, theta float64, fanout int, listen string) (*p2p.Cluster, func(), []keyspace.Key, error) {
-	if fanout != 0 && !core.ValidFanout(fanout) {
-		return nil, nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", fanout, core.MaxFanout)
-	}
-	daemonShare := peers / 2
-	headPeers := peers - daemonShare
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < headPeers {
+	nw := core.NewNetwork(core.Config{Seed: spec.Seed, Fanout: spec.Fanout})
+	rng := rand.New(rand.NewSource(spec.Seed))
+	for nw.Size() < spec.Peers-daemonShare {
 		ids := nw.PeerIDs()
 		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
 			return nil, nil, nil, fmt.Errorf("grow cluster: %w", err)
 		}
 	}
-	gen := workload.NewGenerator(workload.Config{Seed: seed + 1, Distribution: dist, ZipfTheta: theta})
-	keys := gen.Keys(items)
+	dist := workload.Uniform
+	if spec.ZipfTheta > 0 {
+		dist = workload.Zipf
+	}
+	gen := workload.NewGenerator(workload.Config{Seed: spec.Seed + 1, Distribution: dist, ZipfTheta: spec.ZipfTheta})
+	keys := gen.Keys(spec.Items)
 	for _, k := range keys {
 		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
 			return nil, nil, nil, fmt.Errorf("load cluster: %w", err)
 		}
 	}
+	if spec.Transport != "tcp" {
+		c := p2p.NewCluster(nw)
+		return c, keys, c.Stop, nil
+	}
+	listen := spec.Listen
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
@@ -124,7 +108,7 @@ func BuildClusterTCPDistFanout(peers, items int, seed int64, dist workload.Distr
 		return nil, nil, nil, fmt.Errorf("listen: %w", err)
 	}
 	if daemonShare == 0 {
-		return head, head.Stop, keys, nil
+		return head, keys, head.Stop, nil
 	}
 	daemon, err := p2p.JoinRemote(head.Addr(), daemonShare)
 	if err != nil {
@@ -135,7 +119,7 @@ func BuildClusterTCPDistFanout(peers, items int, seed int64, dist workload.Distr
 		daemon.Stop()
 		head.Stop()
 	}
-	return head, stop, keys, nil
+	return head, keys, stop, nil
 }
 
 // AttachCluster joins an existing multi-process overlay (a cmd/batond
@@ -362,7 +346,7 @@ type Report struct {
 const OpAll Op = "all"
 
 // String renders the report as an aligned table of throughput and latency
-// percentiles, the format cmd/batonsim prints in throughput mode.
+// percentiles, the format cmd/batonsim prints in run mode.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clients %d  ops %d  errors %d  notfound %d  churn killed/joined/departed/recovered %d/%d/%d/%d  rebalanced %d\n",
@@ -640,7 +624,7 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	// below 128, so routed hop counts lose no precision).
 	var hopsHist obs.Histogram
 	record := func(op Op, units int, d time.Duration, err error, found bool, hops int) {
-		us := float64(d.Microseconds())
+		us := float64(d.Nanoseconds()) / 1e3
 		report.Latency[op].Add(us)
 		report.Latency[OpAll].Add(us)
 		unitsDone.Add(int64(units))
@@ -691,7 +675,7 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 				}
 				t0 := time.Now()
 				res, err := c.BulkPut(bulk)
-				us := float64(time.Since(t0).Microseconds())
+				us := float64(time.Since(t0).Nanoseconds()) / 1e3
 				report.Latency[OpBulkPut].Add(us)
 				report.Latency[OpAll].Add(us)
 				unitsDone.Add(int64(len(bulk)))

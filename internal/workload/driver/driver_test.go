@@ -2,6 +2,8 @@ package driver
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,11 +16,11 @@ import (
 // driverCluster builds a loaded live cluster for driver tests.
 func driverCluster(t *testing.T, peers, items int, seed int64) (*p2p.Cluster, []keyspace.Key) {
 	t.Helper()
-	c, keys, err := BuildCluster(peers, items, seed)
+	c, keys, stop, err := BuildCluster(ClusterSpec{Peers: peers, Items: items, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
+	t.Cleanup(stop)
 	return c, keys
 }
 
@@ -393,11 +395,11 @@ func TestDriverZipfSkewsLoad(t *testing.T) {
 // with a visibly lower imbalance than the balancer-off twin.
 func TestDriverAutoBalance(t *testing.T) {
 	run := func(balance bool) (Report, int64, float64) {
-		c, _, err := BuildClusterDist(24, 3000, 15, workload.Zipf, 1.0)
+		c, _, stop, err := BuildCluster(ClusterSpec{Peers: 24, Items: 3000, Seed: 15, ZipfTheta: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Stop()
+		defer stop()
 		rep := Run(c, Config{
 			Clients:      4,
 			Ops:          2000,
@@ -461,5 +463,82 @@ func TestDriverBulkOpsAccounting(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("bulk accounting run errored %d times", rep.Errors)
+	}
+}
+
+// TestDriverRecordsSubMicrosecondLatency: latencies are recorded at
+// nanosecond resolution, not truncated to whole microseconds. A direct get
+// on a quiesced in-process cluster takes a few microseconds, so truncation
+// would make every recorded sample an integer.
+func TestDriverRecordsSubMicrosecondLatency(t *testing.T) {
+	c, keys := driverCluster(t, 16, 500, 31)
+	rep := Run(c, Config{
+		Clients:     2,
+		Ops:         500,
+		GetFraction: 1,
+		Route:       p2p.RouteDirect,
+		Keys:        keys,
+		Seed:        32,
+	})
+	lat := rep.Latency[OpGet]
+	if lat.Count() == 0 {
+		t.Fatal("no gets recorded")
+	}
+	// Percentile returns an actual sample, so stepping through the
+	// distribution reads back recorded values.
+	for p := 0.0; p <= 1; p += 0.01 {
+		if v := lat.Percentile(p); v != math.Trunc(v) {
+			return
+		}
+	}
+	t.Fatalf("all %d recorded get latencies are whole microseconds (p50 %v): latency is truncated", lat.Count(), lat.Percentile(0.5))
+}
+
+// TestBuildClusterTCPZipfFanout builds the loopback-TCP pair with Zipf data
+// on a BATON* overlay: the coordinator sees every requested peer across
+// both halves, every pre-loaded key is readable through the wire, and the
+// returned stop function tears down both halves — the coordinator's
+// listener is closed and the pair's goroutines exit.
+func TestBuildClusterTCPZipfFanout(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const peers = 24
+	c, keys, stop, err := BuildCluster(ClusterSpec{
+		Peers: peers, Items: 600, Seed: 41, ZipfTheta: 1.0, Fanout: 4, Transport: "tcp",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := false
+	defer func() {
+		if !stopped {
+			stop()
+		}
+	}()
+	if got := c.Size(); got != peers {
+		t.Fatalf("Size() = %d, want %d", got, peers)
+	}
+	if len(keys) != 600 {
+		t.Fatalf("%d keys returned, want 600", len(keys))
+	}
+	ids := c.PeerIDs()
+	for i, k := range keys {
+		_, found, _, err := c.Get(ids[i%len(ids)], k)
+		if err != nil || !found {
+			t.Fatalf("key %d: found %v, err %v", k, found, err)
+		}
+	}
+	addr := c.Addr()
+	stop()
+	stopped = true
+
+	if late, err := p2p.JoinRemote(addr, 0); err == nil {
+		late.Stop()
+		t.Fatalf("coordinator at %s still accepts joins after stop", addr)
+	}
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines after stop, %d before the build: a half is still running", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
