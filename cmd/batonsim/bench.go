@@ -9,8 +9,8 @@ import (
 
 	"baton/internal/chord"
 	"baton/internal/keyspace"
+	"baton/internal/obs"
 	"baton/internal/p2p"
-	"baton/internal/stats"
 	"baton/internal/workload"
 	"baton/internal/workload/driver"
 )
@@ -214,8 +214,8 @@ func runBench(o benchOptions) {
 			Ops:            rep.Ops,
 			Errors:         rep.Errors,
 			OpsPerSec:      rep.OpsPerSec,
-			P50us:          rep.Latency[driver.OpAll].Percentile(0.50),
-			P99us:          rep.Latency[driver.OpAll].Percentile(0.99),
+			P50us:          float64(rep.Latency[driver.OpAll].Percentile(50)) / 1e3,
+			P99us:          float64(rep.Latency[driver.OpAll].Percentile(99)) / 1e3,
 			HopsP50:        rep.HopsP50,
 			HopsP99:        rep.HopsP99,
 			QueueWaitP99us: rep.QueueWaitP99us,
@@ -532,23 +532,24 @@ func runOverlayComparison(o benchOptions, measure func(*p2p.Cluster, driver.Conf
 			fatal(err)
 		}
 	}
-	hops := &stats.Latency{}
+	var hops obs.Histogram
 	var msgs int64
 	for i := 0; i < o.ops; i++ {
 		_, cost, err := ring.Lookup(ring.RandomNode(), keys[rng.Intn(len(keys))])
 		if err != nil {
 			fatal(err)
 		}
-		hops.Add(float64(cost.Messages))
+		hops.Observe(int64(cost.Messages))
 		msgs += int64(cost.Messages)
 	}
+	hs := hops.Snapshot()
 	res := benchResult{
 		Name:      "chord-get",
 		Route:     "chord",
 		Ops:       int64(o.ops),
 		MsgsPerOp: float64(msgs) / float64(o.ops),
-		HopsP50:   hops.Percentile(0.50),
-		HopsP99:   hops.Percentile(0.99),
+		HopsP50:   float64(hs.Percentile(50)),
+		HopsP99:   float64(hs.Percentile(99)),
 	}
 	record(res)
 

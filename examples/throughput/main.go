@@ -21,7 +21,7 @@ import (
 	"math/rand"
 	"time"
 
-	"baton/internal/stats"
+	"baton/internal/obs"
 	"baton/internal/workload"
 	"baton/internal/workload/driver"
 )
@@ -65,22 +65,23 @@ func main() {
 	ids := cluster.PeerIDs()
 	gen := workload.NewGenerator(workload.Config{Seed: 8})
 	rng := rand.New(rand.NewSource(11))
-	var serial, parallel stats.Latency
+	var serial, parallel obs.Histogram
 	for i := 0; i < 100; i++ {
 		r := gen.RangeQuery(0.15) // ~38 of the 256 peers per query
 		via := ids[rng.Intn(len(ids))]
 		t0 := time.Now()
 		if _, _, err := cluster.RangeSerial(via, r); err == nil {
-			serial.Add(float64(time.Since(t0).Microseconds()))
+			serial.Observe(time.Since(t0).Nanoseconds())
 		}
 		t0 = time.Now()
 		if _, _, err := cluster.Range(via, r); err == nil {
-			parallel.Add(float64(time.Since(t0).Microseconds()))
+			parallel.Observe(time.Since(t0).Nanoseconds())
 		}
 	}
-	fmt.Printf("serial chain walk : mean %6.0f µs   p99 %6.0f µs\n", serial.Mean(), serial.Percentile(0.99))
-	fmt.Printf("parallel fan-out  : mean %6.0f µs   p99 %6.0f µs\n", parallel.Mean(), parallel.Percentile(0.99))
-	if m := parallel.Mean(); m > 0 {
-		fmt.Printf("speedup: %.2fx\n", serial.Mean()/m)
+	s, p := serial.Snapshot(), parallel.Snapshot()
+	fmt.Printf("serial chain walk : mean %6.0f µs   p99 %6.0f µs\n", s.Mean()/1e3, float64(s.Percentile(99))/1e3)
+	fmt.Printf("parallel fan-out  : mean %6.0f µs   p99 %6.0f µs\n", p.Mean()/1e3, float64(p.Percentile(99))/1e3)
+	if m := p.Mean(); m > 0 {
+		fmt.Printf("speedup: %.2fx\n", s.Mean()/m)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"baton/internal/keyspace"
 	"baton/internal/stats"
@@ -49,9 +50,10 @@ type LoadBalanceStats struct {
 	Events int64
 	// Messages is the total number of messages those operations exchanged.
 	Messages int64
-	// ShiftSizes is the distribution of the number of peers involved in each
-	// operation (peers that changed position or exchanged data).
-	ShiftSizes *stats.Histogram
+	// ShiftSizes counts the operations by the number of peers each involved
+	// (peers that changed position or exchanged data): ShiftSizes[n] is how
+	// many operations involved exactly n peers.
+	ShiftSizes map[int]int64
 }
 
 // LoadBalanceStats returns the accumulated load balancing measurements.
@@ -59,7 +61,7 @@ func (nw *Network) LoadBalanceStats() LoadBalanceStats {
 	return LoadBalanceStats{
 		Events:     nw.lbEvents,
 		Messages:   nw.lbMessages,
-		ShiftSizes: nw.lbShiftSizes,
+		ShiftSizes: maps.Clone(nw.lbShiftSizes),
 	}
 }
 
@@ -117,7 +119,7 @@ func (nw *Network) loadBalance(x *Node) stats.OpCost {
 	nw.lbEvents++
 	nw.lbMessages += int64(cost.Messages)
 	if nodesInvolved > 0 {
-		nw.lbShiftSizes.Add(nodesInvolved)
+		nw.lbShiftSizes[nodesInvolved]++
 	}
 	return cost
 }
@@ -233,7 +235,7 @@ func (nw *Network) ShiftBoundary(id PeerID, side Side, at keyspace.Key) (stats.O
 	nw.notifyRangeChange(x)
 	nw.notifyRangeChange(a)
 	nw.lbEvents++
-	nw.lbShiftSizes.Add(2)
+	nw.lbShiftSizes[2]++
 	cost := nw.endOp()
 	nw.lbMessages += int64(cost.Messages)
 	return cost, nil
@@ -305,7 +307,7 @@ func (nw *Network) ForcedRejoin(lightID, hotID PeerID, boundary keyspace.Key) (s
 	cost.NodesInvolved = nodesInvolved
 	nw.lbEvents++
 	nw.lbMessages += int64(cost.Messages)
-	nw.lbShiftSizes.Add(cost.NodesInvolved)
+	nw.lbShiftSizes[cost.NodesInvolved]++
 	return cost, nil
 }
 

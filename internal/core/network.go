@@ -100,7 +100,7 @@ type Network struct {
 	// lbStats accumulates load balancing measurements (Figures 8g and 8h).
 	lbMessages   int64
 	lbEvents     int64
-	lbShiftSizes *stats.Histogram
+	lbShiftSizes map[int]int64
 }
 
 // NewNetwork creates a network with a single peer (the root) owning the whole
@@ -126,7 +126,7 @@ func NewNetwork(cfg Config) *Network {
 		failed:       make(map[PeerID]*Node),
 		inflight:     make(map[PeerID]bool),
 		nextID:       1,
-		lbShiftSizes: stats.NewHistogram(),
+		lbShiftSizes: make(map[int]int64),
 	}
 	root := newNode(fanout, nw.allocID(), RootPosition, domain)
 	nw.nodes[root.id] = root

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"baton/internal/core"
 	"baton/internal/stats"
@@ -551,12 +553,17 @@ func FigureH(opt Options) Result {
 			panic(err)
 		}
 	}
-	hist := nw.LoadBalanceStats().ShiftSizes
+	shifts := nw.LoadBalanceStats().ShiftSizes
+	var total, sum int64
+	for n, c := range shifts {
+		total += c
+		sum += int64(n) * c
+	}
 	count := stats.Series{Label: "operations"}
 	fraction := stats.Series{Label: "fraction"}
-	for _, b := range hist.Buckets() {
-		count.Add(float64(b), float64(hist.Count(b)))
-		fraction.Add(float64(b), hist.Fraction(b))
+	for _, n := range slices.Sorted(maps.Keys(shifts)) {
+		count.Add(float64(n), float64(shifts[n]))
+		fraction.Add(float64(n), float64(shifts[n])/float64(total))
 	}
 	return Result{
 		ID:     "8h",
@@ -565,7 +572,7 @@ func FigureH(opt Options) Result {
 		Series: []stats.Series{count, fraction},
 		Notes: []string{
 			"The distribution decays steeply: almost all load balancing operations involve only a handful of peers, long shifts are rare (the paper calls the distribution 'strongly exponential').",
-			fmt.Sprintf("observed %d load balancing operations, mean size %.2f", hist.Total(), hist.Mean()),
+			fmt.Sprintf("observed %d load balancing operations, mean size %.2f", total, float64(sum)/float64(max(total, 1))),
 		},
 	}
 }

@@ -1,23 +1,30 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
 
-// Bucket layout of the streaming histogram: values below histExact are
-// counted exactly (one bucket per value — hop counts and other small
-// integers lose no precision), larger values share one bucket per power
-// of two. The layout is fixed at compile time, which is what makes the
-// histogram lock-free: observing is one atomic add into a pre-ordered
+// Bucket layout of the streaming histogram, log-linear in the HDR style:
+// values below histExact get one bucket each, so hop counts and other
+// small integers are exact. From histExact up, every power of two
+// [2^k, 2^(k+1)) is split into histSub linear sub-buckets of width
+// 2^(k-4); a bucket's midpoint is then within 1/32 of every value it
+// holds. Values from 2^histTopBits (≈18 min in nanoseconds) up share one
+// top bucket. The layout is fixed at compile time, which is what makes
+// the histogram lock-free: observing is one atomic add into a pre-ordered
 // bucket, and a percentile query is a sweep in bucket order with no sort
-// and no lock (compare internal/stats.Histogram, whose exact map buckets
-// need a cached sort and single-goroutine discipline).
+// and no lock.
 const (
-	histExact = 128
-	// Buckets histExact..histLast hold [1<<(b-histExact+7), 1<<(b-histExact+8));
-	// the last bucket catches everything up to 1<<63-1.
-	histBucketCount = histExact + 57
+	histExactBits = 7  // values below 2^7 get exact buckets
+	histSubBits   = 4  // each power of two above splits into 2^4 sub-buckets
+	histTopBits   = 40 // values from 2^40 up share the top bucket
+
+	histExact       = 1 << histExactBits
+	histSub         = 1 << histSubBits
+	histTop         = histExact + (histTopBits-histExactBits)*histSub
+	histBucketCount = histTop + 1
 )
 
 // Histogram is a lock-free streaming histogram of non-negative int64
@@ -34,21 +41,28 @@ func histBucket(v int64) int {
 	if v < histExact {
 		return int(v)
 	}
-	b := histExact + bits.Len64(uint64(v)) - 8
-	if b >= histBucketCount {
-		b = histBucketCount - 1
+	k := bits.Len64(uint64(v)) - 1
+	if k >= histTopBits {
+		return histTop
 	}
-	return b
+	sub := int(uint64(v)>>(k-histSubBits)) & (histSub - 1)
+	return histExact + (k-histExactBits)*histSub + sub
 }
 
 // histValue returns the representative value of a bucket: the value
-// itself for exact buckets, the midpoint for power-of-two buckets.
+// itself for exact buckets, the midpoint for sub-buckets, and the lower
+// bound 2^histTopBits for the top bucket.
 func histValue(b int) int64 {
 	if b < histExact {
 		return int64(b)
 	}
-	lo := int64(1) << (b - histExact + 7)
-	return lo + lo/2
+	if b >= histTop {
+		return 1 << histTopBits
+	}
+	k := histExactBits + (b-histExact)/histSub
+	width := int64(1) << (k - histSubBits)
+	lo := int64(1)<<k + int64((b-histExact)%histSub)*width
+	return lo + width/2
 }
 
 // Observe records one sample. Negative samples count as zero.
@@ -125,14 +139,15 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// Percentile returns the value at or below which p percent of the
-// samples fall (p in [0,100]): exact for values below 128, the bucket
-// midpoint above. Zero when the snapshot is empty.
+// Percentile returns the smallest bucket value at or below which at
+// least p percent of the samples fall (p in [0,100]; the nearest-rank
+// rule, rank = ceil(p/100 * Count)): exact for values below 128, the
+// bucket midpoint above. Zero when the snapshot is empty.
 func (s HistogramSnapshot) Percentile(p float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := int64(float64(s.Count)*p/100 + 0.5)
+	rank := int64(math.Ceil(float64(s.Count) * p / 100))
 	if rank < 1 {
 		rank = 1
 	}

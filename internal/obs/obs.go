@@ -25,10 +25,12 @@
 //     per-phase durations and outcomes, so "what did the overlay just do
 //     to itself" is answerable after the fact without logs.
 //
-// The histograms extend internal/stats.Histogram's cached-sort design to
-// a concurrent setting: where stats.Histogram keeps exact map buckets and
-// re-sorts them lazily, the streaming Histogram here fixes the bucket
-// layout up front (exact below 128, power-of-two above), which makes the
-// sorted order free and every operation a single atomic — the same
-// read-mostly percentile query, minus the lock the map would need.
+// The streaming Histogram (hist.go) is the tree's one histogram type:
+// the live cluster's queue-wait and handle-time distributions, the
+// workload driver's per-op latencies and hop counts, and the facade's
+// MetricsHistogram all use it. Its log-linear bucket layout is fixed up
+// front (exact below 128, 16 linear sub-buckets per power of two above),
+// so a sample costs one atomic add, memory does not grow with the
+// sample count, and a percentile above 128 is within 1/32 of every
+// sample its bucket holds.
 package obs

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,9 +31,9 @@ func TestHistogramLargeValuesBucketed(t *testing.T) {
 	h.Observe(1_000_000) // ~1ms in ns
 	s := h.Snapshot()
 	p := s.Percentile(99)
-	// Power-of-two bucket [2^19, 2^20) has midpoint 786432.
-	if p < 500_000 || p > 2_000_000 {
-		t.Fatalf("p99 = %d, want within 2x of 1e6", p)
+	// Sub-bucket [2^19+14·2^15, 2^19+15·2^15) has midpoint 999424.
+	if p < 1_000_000-1_000_000/32 || p > 1_000_000+1_000_000/32 {
+		t.Fatalf("p99 = %d, want within 1/32 of 1e6", p)
 	}
 	if h.Snapshot().Percentile(50) != p {
 		t.Fatalf("single-sample percentiles differ")
@@ -81,6 +83,155 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := h.Snapshot(); s.Count != 8000 {
 		t.Fatalf("count = %d, want 8000", s.Count)
+	}
+}
+
+// repeatSamples returns each value v counts[v] times, in no set order.
+func repeatSamples(counts map[int64]int) []int64 {
+	var out []int64
+	for v, n := range counts {
+		for i := 0; i < n; i++ {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// rampSamples returns lo..hi, n times over.
+func rampSamples(lo, hi int64, n int) []int64 {
+	var out []int64
+	for i := 0; i < n; i++ {
+		for v := lo; v <= hi; v++ {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func observeAll(samples []int64) HistogramSnapshot {
+	var h Histogram
+	for _, v := range samples {
+		h.Observe(v)
+	}
+	return h.Snapshot()
+}
+
+// TestHistogramPercentiles pins the nearest-rank rule: Percentile(p) is
+// the smallest recorded value at or below which at least p percent of the
+// samples fall. Values below 128 are exact, so the answers are too.
+func TestHistogramPercentiles(t *testing.T) {
+	skewed := repeatSamples(map[int64]int{1: 50, 2: 30, 5: 20})
+	mostlyTens := append(repeatSamples(map[int64]int{10: 9}), 20)
+	ramps := rampSamples(1, 125, 8)
+	for _, tc := range []struct {
+		name    string
+		samples []int64
+		p       float64
+		want    int64
+	}{
+		{"empty", nil, 50, 0},
+		{"1..7 p20", rampSamples(1, 7, 1), 20, 2}, // rank ceil(1.4) = 2, not round(1.4) = 1
+		{"1..7 p50", rampSamples(1, 7, 1), 50, 4},
+		{"skewed p50", skewed, 50, 1},
+		{"skewed p80", skewed, 80, 2},
+		{"skewed p99", skewed, 99, 5},
+		{"skewed p above 100 clamps", skewed, 200, 5},
+		{"two values p100", []int64{10, 20}, 100, 20},
+		{"mostly tens p90", mostlyTens, 90, 10},
+		{"new low value p1", slices.Concat(mostlyTens, []int64{5}), 1, 5},
+		{"new high value p100", slices.Concat(mostlyTens, []int64{5, 30}), 100, 30},
+		{"ramps p0", ramps, 0, 1},
+		{"ramps p50", ramps, 50, 63},
+		{"ramps p100", ramps, 100, 125},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := observeAll(tc.samples).Percentile(tc.p); got != tc.want {
+				t.Fatalf("p%v = %d, want %d", tc.p, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestHistogramMean: the mean comes from the exact sum, not from bucket
+// values, so it is exact at any magnitude.
+func TestHistogramMean(t *testing.T) {
+	for _, tc := range []struct {
+		samples []int64
+		want    float64
+	}{
+		{nil, 0},
+		{repeatSamples(map[int64]int{1: 50, 2: 30, 5: 20}), 2.1},
+		{rampSamples(1, 125, 8), 63},
+		{[]int64{1, 1, 2, 5, 1_000_003}, 200_002.4},
+	} {
+		if got := observeAll(tc.samples).Mean(); math.Abs(got-tc.want) > 1e-9 {
+			t.Fatalf("mean of %d samples = %v, want %v", len(tc.samples), got, tc.want)
+		}
+	}
+}
+
+// histProbes returns every value below 256, both sides of every power of
+// two up to 2^41, and geometric steps of about 1.5% in between.
+func histProbes() []int64 {
+	var vs []int64
+	for v := int64(0); v < 256; v++ {
+		vs = append(vs, v)
+	}
+	for v := int64(256); v < 1<<41; v += v/64 + 1 {
+		vs = append(vs, v)
+	}
+	for k := 8; k <= 41; k++ {
+		vs = append(vs, 1<<k-1, 1<<k)
+	}
+	slices.Sort(vs)
+	return vs
+}
+
+func TestHistogramBucketsMonotonic(t *testing.T) {
+	prev := 0
+	for _, v := range histProbes() {
+		b := histBucket(v)
+		if b < prev || b >= histBucketCount {
+			t.Fatalf("bucket(%d) = %d after %d (of %d buckets)", v, b, prev, histBucketCount)
+		}
+		prev = b
+	}
+	if b := histBucket(math.MaxInt64); b != histTop {
+		t.Fatalf("bucket(MaxInt64) = %d, want the top bucket %d", b, histTop)
+	}
+	if histBucketCount != 657 {
+		t.Fatalf("%d buckets, want 657 (128 exact + 33 powers of two × 16 + top)", histBucketCount)
+	}
+}
+
+// TestHistogramRelativeError: above the exact range a bucket's reported
+// value is within 1/32 of every value the bucket holds, and it lies in
+// the bucket it stands for.
+func TestHistogramRelativeError(t *testing.T) {
+	for _, v := range histProbes() {
+		if v < histExact || v >= 1<<histTopBits {
+			continue
+		}
+		b := histBucket(v)
+		got := histValue(b)
+		if d := got - v; d > v/32 || -d > v/32 {
+			t.Fatalf("value(bucket(%d)) = %d, off by more than 1/32", v, got)
+		}
+		if histBucket(got) != b {
+			t.Fatalf("value(bucket %d) = %d lies in bucket %d", b, got, histBucket(got))
+		}
+	}
+}
+
+// TestHistogramResolvesTenPercent: 1.0 ms and 1.1 ms land in different
+// buckets, so a 10% latency change moves the reported percentile.
+func TestHistogramResolvesTenPercent(t *testing.T) {
+	var a, b Histogram
+	a.Observe(1_000_000)
+	b.Observe(1_100_000)
+	pa, pb := a.Snapshot().Percentile(50), b.Snapshot().Percentile(50)
+	if pa == pb {
+		t.Fatalf("1.0 ms and 1.1 ms both read %d ns", pa)
 	}
 }
 

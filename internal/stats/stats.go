@@ -1,11 +1,10 @@
 // Package stats collects the measurements the paper's evaluation reports:
 // the number of messages each operation exchanges (broken down by message
-// type), the access load handled by peers at each tree level, and simple
-// distributions such as the number of peers displaced by one restructuring.
+// type), the access load handled by peers at each tree level, and the
+// plotted series and tables the figures are printed as.
 //
-// All of Figure 8 of the paper is plotted from these quantities, so the
-// experiment harness in internal/experiments works exclusively through this
-// package.
+// The experiment harness in internal/experiments reports all of Figure 8
+// of the paper through this package.
 package stats
 
 import (
@@ -13,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // MsgType classifies a protocol message for accounting purposes. The names
@@ -231,109 +229,6 @@ func (a *Accumulator) StdDev() float64 {
 	return math.Sqrt(variance)
 }
 
-// Histogram counts integer-valued samples in unit-width buckets. It backs
-// Figure 8(h): the distribution of the number of nodes displaced by one load
-// balancing operation. It is not safe for concurrent use — including
-// concurrent read-only calls: Percentile and Buckets lazily (re)build the
-// sorted-bucket cache. Latency is the concurrent sampler.
-type Histogram struct {
-	counts map[int]int64
-	total  int64
-	// sorted caches the ascending bucket values for Percentile and Buckets,
-	// invalidated only when an Add opens a new bucket — incrementing an
-	// existing bucket leaves the value set unchanged. Without the cache,
-	// every Percentile call re-collected and re-sorted the whole map, which
-	// made percentile reporting over a long run quadratic.
-	sorted []int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: make(map[int]int64)} }
-
-// Add records one sample with the given integer value.
-func (h *Histogram) Add(v int) {
-	if h.counts == nil {
-		h.counts = make(map[int]int64)
-	}
-	if _, ok := h.counts[v]; !ok {
-		h.sorted = nil
-	}
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns how many samples had exactly value v.
-func (h *Histogram) Count(v int) int64 { return h.counts[v] }
-
-// Total returns the total number of samples.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Buckets returns the sorted distinct sample values. The returned slice is
-// the caller's to keep.
-func (h *Histogram) Buckets() []int {
-	return append([]int(nil), h.sortedBuckets()...)
-}
-
-// sortedBuckets returns the cached ascending bucket values, rebuilding the
-// cache if a new bucket invalidated it.
-func (h *Histogram) sortedBuckets() []int {
-	if h.sorted == nil {
-		h.sorted = make([]int, 0, len(h.counts))
-		for v := range h.counts {
-			h.sorted = append(h.sorted, v)
-		}
-		sort.Ints(h.sorted)
-	}
-	return h.sorted
-}
-
-// Fraction returns the fraction of samples with value v.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// Mean returns the mean sample value.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
-// Percentile returns the smallest value v such that at least p (0..1) of the
-// samples are <= v.
-func (h *Histogram) Percentile(p float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := int64(math.Ceil(p * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum int64
-	buckets := h.sortedBuckets()
-	for _, v := range buckets {
-		cum += h.counts[v]
-		if cum >= target {
-			return v
-		}
-	}
-	return buckets[len(buckets)-1]
-}
-
 // LevelLoad tracks the number of messages handled by peers at each tree
 // level, separately per operation kind. Figure 8(f) plots these counters
 // normalised by the number of peers per level.
@@ -384,86 +279,6 @@ func (l *LevelLoad) Levels() []int {
 
 // Reset clears all counters.
 func (l *LevelLoad) Reset() { l.perLevel = make(map[OpKind]map[int]int64) }
-
-// Latency collects individual latency samples from many goroutines and
-// reports percentiles. The unit is whatever the caller records (the
-// throughput driver records microseconds). Unlike Accumulator it keeps
-// every sample, so exact percentiles are available; unlike Histogram it is
-// safe for concurrent use, which is what a closed-loop multi-client
-// workload needs. The zero value is ready to use.
-type Latency struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  []float64 // lazily built snapshot for percentiles, nil when stale
-}
-
-// Add records one sample. Safe for concurrent use.
-func (l *Latency) Add(v float64) {
-	l.mu.Lock()
-	l.samples = append(l.samples, v)
-	l.sorted = nil
-	l.mu.Unlock()
-}
-
-// Count returns the number of samples recorded.
-func (l *Latency) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
-// Mean returns the mean sample, or 0 when empty.
-func (l *Latency) Mean() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range l.samples {
-		sum += v
-	}
-	return sum / float64(len(l.samples))
-}
-
-// Max returns the largest sample, or 0 when empty.
-func (l *Latency) Max() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var max float64
-	for _, v := range l.samples {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Percentile returns the smallest sample v such that at least p (0..1) of
-// the samples are <= v, or 0 when empty. The sorted snapshot is cached, so
-// reporting several percentiles of the same distribution sorts only once.
-func (l *Latency) Percentile(p float64) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if l.sorted == nil {
-		l.sorted = append([]float64(nil), l.samples...)
-		sort.Float64s(l.sorted)
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	idx := int(math.Ceil(p*float64(len(l.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return l.sorted[idx]
-}
 
 // Series is one plotted line of a figure: a label plus (x, y) points.
 type Series struct {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -93,88 +92,6 @@ func TestAccumulator(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-	for i := 0; i < 50; i++ {
-		h.Add(1)
-	}
-	for i := 0; i < 30; i++ {
-		h.Add(2)
-	}
-	for i := 0; i < 20; i++ {
-		h.Add(5)
-	}
-	if h.Total() != 100 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Count(2) != 30 {
-		t.Fatalf("Count(2) = %d", h.Count(2))
-	}
-	if got := h.Fraction(1); got != 0.5 {
-		t.Fatalf("Fraction(1) = %f", got)
-	}
-	if got := h.Buckets(); len(got) != 3 || got[0] != 1 || got[2] != 5 {
-		t.Fatalf("Buckets = %v", got)
-	}
-	if got := h.Mean(); math.Abs(got-2.1) > 1e-9 {
-		t.Fatalf("Mean = %f, want 2.1", got)
-	}
-	if got := h.Percentile(0.5); got != 1 {
-		t.Fatalf("P50 = %d, want 1", got)
-	}
-	if got := h.Percentile(0.8); got != 2 {
-		t.Fatalf("P80 = %d, want 2", got)
-	}
-	if got := h.Percentile(0.99); got != 5 {
-		t.Fatalf("P99 = %d, want 5", got)
-	}
-	if got := h.Percentile(2); got != 5 {
-		t.Fatalf("clamped percentile = %d, want 5", got)
-	}
-}
-
-// TestHistogramSortedCacheInvalidation exercises the cached sorted-bucket
-// path: percentiles queried between Adds must stay correct whether an Add
-// reuses an existing bucket (cache kept) or opens a new one (cache
-// invalidated), and Buckets must hand out a private copy the caller may
-// mutate without corrupting the cache.
-func TestHistogramSortedCacheInvalidation(t *testing.T) {
-	h := NewHistogram()
-	h.Add(10)
-	h.Add(20)
-	if got := h.Percentile(1); got != 20 {
-		t.Fatalf("P100 = %d, want 20", got)
-	}
-	// Same-bucket Adds keep the cache valid; the distribution still shifts.
-	for i := 0; i < 8; i++ {
-		h.Add(10)
-	}
-	if got := h.Percentile(0.9); got != 10 {
-		t.Fatalf("P90 after same-bucket adds = %d, want 10", got)
-	}
-	// A new bucket must invalidate the cache: 5 sorts before 10 and 20.
-	h.Add(5)
-	if got := h.Percentile(0.01); got != 5 {
-		t.Fatalf("P1 after new low bucket = %d, want 5", got)
-	}
-	if got := h.Buckets(); len(got) != 3 || got[0] != 5 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("Buckets = %v, want [5 10 20]", got)
-	}
-	// Mutating the returned slice must not corrupt later queries.
-	b := h.Buckets()
-	b[0] = 999
-	if got := h.Percentile(0.01); got != 5 {
-		t.Fatalf("P1 after caller mutation = %d, want 5 (Buckets leaked the cache)", got)
-	}
-	h.Add(30)
-	if got := h.Percentile(1); got != 30 {
-		t.Fatalf("P100 after new high bucket = %d, want 30", got)
-	}
-}
-
 func TestLevelLoad(t *testing.T) {
 	l := NewLevelLoad()
 	l.Record(OpInsert, 0)
@@ -225,45 +142,5 @@ func TestOpCostFields(t *testing.T) {
 	c := OpCost{Kind: OpLoadBalance, Messages: 12, LocateMessages: 3, UpdateMessages: 6, DataMessages: 2, ExtraMessages: 1, NodesInvolved: 4}
 	if c.LocateMessages+c.UpdateMessages+c.DataMessages+c.ExtraMessages > c.Messages {
 		t.Fatal("component messages should not exceed total in this test fixture")
-	}
-}
-
-func TestLatency(t *testing.T) {
-	var l Latency
-	if l.Count() != 0 || l.Mean() != 0 || l.Max() != 0 || l.Percentile(0.5) != 0 {
-		t.Fatal("zero-value Latency should report zeros")
-	}
-	// Concurrent adds from many goroutines (run with -race).
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 125; i++ {
-				l.Add(float64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if l.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", l.Count())
-	}
-	if got := l.Mean(); got != 63 {
-		t.Fatalf("mean = %f, want 63", got)
-	}
-	if got := l.Max(); got != 125 {
-		t.Fatalf("max = %f, want 125", got)
-	}
-	if p50 := l.Percentile(0.5); p50 != 63 {
-		t.Fatalf("p50 = %f, want 63", p50)
-	}
-	if p100 := l.Percentile(1); p100 != 125 {
-		t.Fatalf("p100 = %f, want 125", p100)
-	}
-	if p0 := l.Percentile(0); p0 != 1 {
-		t.Fatalf("p0 = %f, want 1", p0)
-	}
-	if l.Percentile(0.95) > l.Percentile(0.99) {
-		t.Fatal("p95 above p99")
 	}
 }

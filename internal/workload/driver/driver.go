@@ -1,13 +1,12 @@
 // Package driver is the closed-loop concurrent workload driver for the live
 // p2p cluster: N client goroutines issue a configurable read/write/range mix
 // (optionally batched through the bulk APIs, optionally under churn) and the
-// run is summarised as ops/sec, exact latency percentiles over every
-// recorded sample (in fractional microseconds), and hop and queue-wait
-// percentiles from the flight recorder's histograms. It lives in its own
-// package, rather than in internal/workload proper, because it drives
-// internal/p2p while the core simulator's tests consume internal/workload's
-// generators — folding it into workload would create an import cycle in the
-// test build.
+// run is summarised as ops/sec, per-op latency distributions recorded in
+// nanoseconds, and hop and queue-wait percentiles, all kept in the flight
+// recorder's lock-free histograms. It lives in its own package, rather than
+// in internal/workload proper, because it drives internal/p2p while the
+// core simulator's tests consume internal/workload's generators — folding
+// it into workload would create an import cycle in the test build.
 package driver
 
 import (
@@ -24,7 +23,6 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/obs"
 	"baton/internal/p2p"
-	"baton/internal/stats"
 	"baton/internal/store"
 	"baton/internal/workload"
 )
@@ -307,7 +305,7 @@ func (cfg Config) planOf() string {
 }
 
 // Report summarises one driver run: counts, wall-clock throughput and
-// per-operation latency percentiles (microseconds).
+// per-operation latency distributions.
 type Report struct {
 	Clients  int
 	Ops      int64
@@ -324,9 +322,9 @@ type Report struct {
 	Rebalanced int
 	Elapsed    time.Duration
 	OpsPerSec  float64
-	// Latency maps an operation kind (plus "all") to its recorded latency
-	// samples in microseconds.
-	Latency map[Op]*stats.Latency
+	// Latency maps an operation kind (plus "all") to the distribution of
+	// its latencies in nanoseconds; Percentile(p)/1e3 reads microseconds.
+	Latency map[Op]obs.HistogramSnapshot
 	// HopsP50 and HopsP99 are percentiles of the per-operation message hop
 	// counts (every routed op reports its hops; the driver histograms them).
 	HopsP50, HopsP99 float64
@@ -365,11 +363,12 @@ func (r Report) String() string {
 	sort.Strings(ops)
 	for _, op := range ops {
 		l := r.Latency[Op(op)]
-		if l.Count() == 0 {
+		if l.Count == 0 {
 			continue
 		}
+		us := func(p float64) float64 { return float64(l.Percentile(p)) / 1e3 }
 		fmt.Fprintf(&b, "%-10s %10d %10.0f %10.0f %10.0f %10.0f %10.0f\n",
-			op, l.Count(), l.Mean(), l.Percentile(0.50), l.Percentile(0.95), l.Percentile(0.99), l.Max())
+			op, l.Count, l.Mean()/1e3, us(50), us(95), us(99), us(100))
 	}
 	return b.String()
 }
@@ -452,11 +451,14 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	plan := cfg.planOf()
 	plansBefore := c.PlanStats()
 
-	report := Report{
-		Clients: cfg.Clients,
-		Latency: map[Op]*stats.Latency{
-			OpGet: {}, OpPut: {}, OpDelete: {}, OpRange: {}, OpBulkPut: {}, OpAll: {},
-		},
+	report := Report{Clients: cfg.Clients}
+	// One lock-free histogram per op kind, shared by every client.
+	latency := map[Op]*obs.Histogram{
+		OpGet: {}, OpPut: {}, OpDelete: {}, OpRange: {}, OpBulkPut: {}, OpAll: {},
+	}
+	observe := func(op Op, d time.Duration) {
+		latency[op].Observe(d.Nanoseconds())
+		latency[OpAll].Observe(d.Nanoseconds())
 	}
 	// opsDone hands out the operation budget (one increment per roll, so a
 	// batched put consumes budget per key); unitsDone counts the logical key
@@ -624,9 +626,7 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	// below 128, so routed hop counts lose no precision).
 	var hopsHist obs.Histogram
 	record := func(op Op, units int, d time.Duration, err error, found bool, hops int) {
-		us := float64(d.Nanoseconds()) / 1e3
-		report.Latency[op].Add(us)
-		report.Latency[OpAll].Add(us)
+		observe(op, d)
 		unitsDone.Add(int64(units))
 		if err != nil {
 			errCount.Add(1)
@@ -675,9 +675,7 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 				}
 				t0 := time.Now()
 				res, err := c.BulkPut(bulk)
-				us := float64(time.Since(t0).Nanoseconds()) / 1e3
-				report.Latency[OpBulkPut].Add(us)
-				report.Latency[OpAll].Add(us)
+				observe(OpBulkPut, time.Since(t0))
 				unitsDone.Add(int64(len(bulk)))
 				if err != nil {
 					// Whole-call failure: every key in the batch failed.
@@ -769,6 +767,10 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	report.Rebalanced = int(c.BalanceEvents() - balanceEventsBefore)
 	if secs := report.Elapsed.Seconds(); secs > 0 {
 		report.OpsPerSec = float64(report.Ops) / secs
+	}
+	report.Latency = make(map[Op]obs.HistogramSnapshot, len(latency))
+	for op, h := range latency {
+		report.Latency[op] = h.Snapshot()
 	}
 	hops := hopsHist.Snapshot()
 	report.HopsP50 = float64(hops.Percentile(50))
