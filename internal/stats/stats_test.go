@@ -3,7 +3,10 @@ package stats
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"baton/internal/obs"
 )
 
 func TestMetricsCounting(t *testing.T) {
@@ -142,5 +145,118 @@ func TestOpCostFields(t *testing.T) {
 	c := OpCost{Kind: OpLoadBalance, Messages: 12, LocateMessages: 3, UpdateMessages: 6, DataMessages: 2, ExtraMessages: 1, NodesInvolved: 4}
 	if c.LocateMessages+c.UpdateMessages+c.DataMessages+c.ExtraMessages > c.Messages {
 		t.Fatal("component messages should not exceed total in this test fixture")
+	}
+}
+
+// The hop-count and latency histograms this package used to own are now
+// obs.Histogram. The three tests below keep their old names and cases and
+// check them against it, the way the evaluation's callers read it:
+// percentiles on a 0-100 scale under the nearest-rank rule, means from the
+// exact sum. Every sample is below 128, so every answer is exact.
+
+func TestHistogram(t *testing.T) {
+	var h obs.Histogram
+	if s := h.Snapshot(); s.Mean() != 0 || s.Percentile(50) != 0 {
+		t.Fatal("empty histogram should report zeros")
+	}
+	for i := 0; i < 50; i++ {
+		h.Observe(1)
+	}
+	for i := 0; i < 30; i++ {
+		h.Observe(2)
+	}
+	for i := 0; i < 20; i++ {
+		h.Observe(5)
+	}
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("Count = %d", s.Count)
+	}
+	// Half the samples are 1: p50 is the last rank that reads 1.
+	if got := s.Percentile(50); got != 1 {
+		t.Fatalf("P50 = %d, want 1", got)
+	}
+	if got := s.Percentile(51); got != 2 {
+		t.Fatalf("P51 = %d, want 2", got)
+	}
+	if got := s.Mean(); math.Abs(got-2.1) > 1e-9 {
+		t.Fatalf("Mean = %f, want 2.1", got)
+	}
+	if got := s.Percentile(80); got != 2 {
+		t.Fatalf("P80 = %d, want 2", got)
+	}
+	if got := s.Percentile(99); got != 5 {
+		t.Fatalf("P99 = %d, want 5", got)
+	}
+	if got := s.Percentile(200); got != 5 {
+		t.Fatalf("clamped percentile = %d, want 5", got)
+	}
+}
+
+// TestHistogramSortedCacheInvalidation: percentiles stay right as samples
+// arrive between queries, including samples below and above everything
+// seen so far, and a snapshot already taken does not move.
+func TestHistogramSortedCacheInvalidation(t *testing.T) {
+	var h obs.Histogram
+	h.Observe(10)
+	h.Observe(20)
+	if got := h.Snapshot().Percentile(100); got != 20 {
+		t.Fatalf("P100 = %d, want 20", got)
+	}
+	for i := 0; i < 8; i++ {
+		h.Observe(10)
+	}
+	before := h.Snapshot()
+	if got := before.Percentile(90); got != 10 {
+		t.Fatalf("P90 after same-value observes = %d, want 10", got)
+	}
+	h.Observe(5)
+	if got := h.Snapshot().Percentile(1); got != 5 {
+		t.Fatalf("P1 after new low value = %d, want 5", got)
+	}
+	if got := before.Percentile(1); got != 10 {
+		t.Fatalf("P1 of the earlier snapshot = %d, want 10 (the snapshot moved)", got)
+	}
+	h.Observe(30)
+	if got := h.Snapshot().Percentile(100); got != 30 {
+		t.Fatalf("P100 after new high value = %d, want 30", got)
+	}
+}
+
+func TestLatency(t *testing.T) {
+	var h obs.Histogram
+	if s := h.Snapshot(); s.Count != 0 || s.Mean() != 0 || s.Percentile(100) != 0 || s.Percentile(50) != 0 {
+		t.Fatal("zero-value histogram should report zeros")
+	}
+	// Concurrent observes from many goroutines (run with -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= 125; i++ {
+				h.Observe(i)
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("count = %d, want 1000", s.Count)
+	}
+	if got := s.Mean(); got != 63 {
+		t.Fatalf("mean = %f, want 63", got)
+	}
+	if p50 := s.Percentile(50); p50 != 63 {
+		t.Fatalf("p50 = %d, want 63", p50)
+	}
+	if p100 := s.Percentile(100); p100 != 125 {
+		t.Fatalf("p100 = %d, want 125", p100)
+	}
+	if p0 := s.Percentile(0); p0 != 1 {
+		t.Fatalf("p0 = %d, want 1", p0)
+	}
+	if s.Percentile(95) > s.Percentile(99) {
+		t.Fatal("p95 above p99")
 	}
 }
