@@ -51,19 +51,29 @@ func (c *Cluster) BulkDelete(keys []keyspace.Key) ([]BulkResult, error) {
 // entryOf returns the ring slot responsible for key in the given topology:
 // the member whose range contained it when the topology was published, or
 // the extreme members for keys outside the domain (the same rule
-// ownsExtreme applies during routing). The ring is an immutable snapshot;
-// across a concurrent membership change it can be stale, which the bulk
-// path repairs by retrying moved keys as routed singletons.
+// ownsExtreme applies during routing); nil for an empty ring. The ring is
+// an immutable snapshot; across a concurrent membership change it can be
+// stale, which the bulk path repairs by retrying moved keys as routed
+// singletons.
 func (t *topology) entryOf(key keyspace.Key) *ringEntry {
+	if i := t.entryIdx(key); i >= 0 {
+		return &t.ring[i]
+	}
+	return nil
+}
+
+// entryIdx is entryOf as a ring index, -1 for an empty ring. Keys below
+// the first entry map to slot 0.
+func (t *topology) entryIdx(key keyspace.Key) int {
 	n := len(t.ring)
 	if n == 0 {
-		return nil
-	}
-	if key < t.ring[0].lower {
-		return &t.ring[0]
+		return -1
 	}
 	i := sort.Search(n, func(i int) bool { return t.ring[i].lower > key })
-	return &t.ring[i-1]
+	if i > 0 {
+		i--
+	}
+	return i
 }
 
 // ownerOf returns the peer the current topology holds responsible for key.

@@ -1,5 +1,5 @@
 // The multi-process face of the cluster: netLayer carries the p2p protocol
-// over a transport.Transport so one overlay can span several OS processes
+// over a transport.TCP so one overlay can span several OS processes
 // ("nodes"). Peers hosted by this process are served exactly as before —
 // the channel/spill fast path never builds a frame — while peers hosted
 // elsewhere appear locally as *stubs*: peer objects with node != 0 and no
@@ -13,12 +13,14 @@
 // (acquireCorr) and travels with the entry's ID in the frame header; the
 // node that finally serves it wire-replies to the frame's Origin with the
 // same ID, and the origin releases the entry (releaseCorr) and runs its
-// completion — a channel send, a range-collector contribution, or a
-// pass-through to yet another node's correlation. Entries are released
-// exactly once: on response arrival, when the connection they depend on
-// drops (completed with ErrOwnerDown, the failure retry layers already
-// handle), or at Stop (ErrStopped). batonvet's replypool analyzer checks
-// the acquire/release pairing.
+// completion — a channel send, a range-collector contribution, a control
+// RPC's wake-up, or a pass-through to yet another node's correlation.
+// Control RPCs (rpc) ride the same table: their replies are ordinary
+// response frames. Entries are released exactly once: on response
+// arrival, when the connection they depend on drops (completed with
+// ErrOwnerDown, the failure retry layers already handle), or at Stop
+// (ErrStopped). batonvet's replypool analyzer checks the acquire/release
+// pairing.
 //
 // # Roles
 //
@@ -67,10 +69,10 @@ const msgFlagAny = 1 << 0
 // it is a compile-time-silent, analysis-time-loud mistake.
 type ctlOp byte
 
-// Control-plane opcodes.
+// Control-plane opcodes. RPC replies travel as msgResponse frames with the
+// body in response.value.
 const (
-	ctlReply ctlOp = iota + 1 // RPC completion, body = the reply
-	ctlHello                  // daemon→head: body = daemon listen addr; reply = domain + fanout
+	ctlHello ctlOp = iota + 1 // daemon→head: body = daemon listen addr; reply = domain + fanout
 	ctlJoin                   // daemon→head: body = peer count; reply = joined count
 	ctlSpawn                  // head→daemon: create a hosted peer; reply = status byte
 	ctlTopo                   // head→daemon broadcast: topology snapshot, no reply
@@ -150,12 +152,6 @@ type ctlMsg struct {
 	body []byte
 }
 
-// rpcResult completes one control RPC.
-type rpcResult struct {
-	body []byte
-	err  error
-}
-
 // netLayer is a Cluster's connection to the rest of the multi-process
 // overlay. Nil on a purely in-process cluster — every hook checks.
 type netLayer struct {
@@ -174,15 +170,11 @@ type netLayer struct {
 	// Control messages are decoded and applied on a dedicated worker
 	// goroutine (registered in the cluster's WaitGroup) because they take
 	// memberMu and issue RPCs — work a connection reader must never block
-	// on. ctlReply frames bypass the queue: they complete RPCs the worker
-	// itself may be blocked on.
+	// on. RPC replies are response frames and bypass the queue: they
+	// complete RPCs the worker itself may be blocked on.
 	ctlMu   sync.Mutex
 	ctlQ    []ctlMsg
 	ctlWake chan struct{}
-
-	pendMu   sync.Mutex
-	pendNext uint64
-	pending  map[uint64]chan rpcResult
 
 	// Head: node IDs for dialers and the address table rebroadcast in
 	// ctlTopo so daemons can dial each other for direct handoffs.
@@ -206,7 +198,6 @@ func newNetLayer(isHead bool) *netLayer {
 		isHead:   isHead,
 		headNode: headNodeID,
 		ctlWake:  make(chan struct{}, 1),
-		pending:  make(map[uint64]chan rpcResult),
 		done:     make(chan struct{}),
 		seedDown: make(chan struct{}),
 	}
@@ -248,21 +239,6 @@ func (n *netLayer) finishClose() {
 		tr.Close()
 	}
 	n.corr.sweep(0, ErrStopped)
-	n.failPending(0, ErrStopped)
-}
-
-func (n *netLayer) failPending(node transport.NodeID, err error) {
-	var chs []chan rpcResult
-	n.pendMu.Lock()
-	for id, ch := range n.pending {
-		_ = id
-		chs = append(chs, ch)
-		delete(n.pending, id)
-	}
-	n.pendMu.Unlock()
-	for _, ch := range chs {
-		ch <- rpcResult{err: err}
-	}
 }
 
 // onPeerUp runs when a connection to another node is established. The head
@@ -276,25 +252,14 @@ func (n *netLayer) onPeerUp(node transport.NodeID) {
 	n.enqueueCtl(ctlMsg{from: node, op: ctlPush})
 }
 
-// onPeerDown fails every correlation and RPC that depended on the dropped
-// connection with ErrOwnerDown — the exact error the retry and fail-over
-// layers already handle for an in-process dead peer. A daemon losing its
+// onPeerDown fails every correlation (control RPCs included) that
+// depended on the dropped connection with ErrOwnerDown — the exact error
+// the retry and fail-over layers already handle for an in-process dead
+// peer. Entries waiting on other nodes are untouched. A daemon losing its
 // head connection also trips seedDown: the coordinator owns the overlay,
 // so without it the daemon is an orphan (batond exits on this signal).
 func (n *netLayer) onPeerDown(node transport.NodeID) {
-	err := fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, node)
-	n.corr.sweep(node, err)
-	var chs []chan rpcResult
-	n.pendMu.Lock()
-	for id, ch := range n.pending {
-		_ = id
-		chs = append(chs, ch)
-		delete(n.pending, id)
-	}
-	n.pendMu.Unlock()
-	for _, ch := range chs {
-		ch <- rpcResult{err: err}
-	}
+	n.corr.sweep(node, fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, node))
 	if !n.isHead && node == n.headNode {
 		n.seedOnce.Do(func() { close(n.seedDown) })
 	}
@@ -325,13 +290,6 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 	if c == nil {
 		return false
 	}
-	var m transport.Msg
-	m.To = uint64(int64(p.id))
-	m.Origin = n.self
-	m.Kind = byte(msgRequest)
-	if evenDead {
-		m.Flags = msgFlagAny
-	}
 
 	// A kindUpdate's moves carry ack channels the destination peers answer
 	// to; crossing the wire they become correlation entries at this (the
@@ -356,10 +314,11 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		req.moves = moves
 	}
 
+	var corr uint64
 	switch {
 	case req.reply != nil:
 		ch := req.reply
-		m.Corr = acquireCorr(&n.corr, p.node, func(r response) { ch <- r })
+		corr = acquireCorr(&n.corr, p.node, func(r response) { ch <- r })
 	case req.coll != nil:
 		// A scatter branch leaving the node: the collector stays here and
 		// the remote gathers its branch into a proxy (see inboundRequest),
@@ -368,24 +327,18 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		// a connection reader, so those complete on a fresh goroutine.
 		coll := req.coll
 		lo := req.rng.Lower
-		m.Corr = acquireCorr(&n.corr, p.node, func(r response) {
+		corr = acquireCorr(&n.corr, p.node, func(r response) {
 			if coll.sink != nil {
 				go coll.finish(lo, r.items, r.hops, r.err)
 			} else {
 				coll.finish(lo, r.items, r.hops, r.err)
 			}
 		})
-	case req.rcorr != 0:
-		// Forwarding a request that originated on another node: pass the
-		// origin's correlation through verbatim, so the final server
-		// replies straight to the origin instead of retracing the route.
-		m.Corr = req.rcorr
-		m.Origin = req.rnode
 	}
-	m.Payload = encodeRequest(nil, &req)
+	m := n.requestFrame(p.id, &req, corr, evenDead)
 	if !n.send(p.node, &m) {
-		if req.reply != nil || req.coll != nil {
-			releaseCorr(&n.corr, m.Corr)
+		if corr != 0 {
+			releaseCorr(&n.corr, corr)
 		}
 		for _, id := range corrs {
 			releaseCorr(&n.corr, id)
@@ -409,24 +362,34 @@ func (n *netLayer) nodeOf(c *Cluster, id core.PeerID) transport.NodeID {
 
 // sendRequestTo ships a request to an explicitly named node, bypassing the
 // local topology — the fallback for a handoff whose destination was
-// spawned remotely and is not in this node's stub table yet.
+// spawned remotely and is not in this node's stub table yet. A daemon that
+// cannot reach that node either (a new daemon's address arrives with the
+// topology broadcast that follows its first join) sends the request to the
+// coordinator, which registered the destination's stub before ordering the
+// handoff and forwards it.
 func (n *netLayer) sendRequestTo(node transport.NodeID, id core.PeerID, req request, evenDead bool) bool {
 	if node == 0 || node == n.self {
 		return false
 	}
-	var m transport.Msg
-	m.To = uint64(int64(id))
-	m.Origin = n.self
-	m.Kind = byte(msgRequest)
+	m := n.requestFrame(id, &req, 0, evenDead)
+	return n.send(node, &m) || (!n.isHead && n.send(n.headNode, &m))
+}
+
+// requestFrame builds the wire frame carrying req to peer id. corr is the
+// caller's own correlation entry; without one, a request that originated
+// on another node passes the origin's correlation through verbatim, so
+// the final server replies straight to the origin instead of retracing the
+// route.
+func (n *netLayer) requestFrame(id core.PeerID, req *request, corr uint64, evenDead bool) transport.Msg {
+	m := transport.Msg{To: uint64(int64(id)), Corr: corr, Origin: n.self, Kind: byte(msgRequest)}
 	if evenDead {
 		m.Flags = msgFlagAny
 	}
-	if req.rcorr != 0 {
-		m.Corr = req.rcorr
-		m.Origin = req.rnode
+	if corr == 0 && req.rcorr != 0 {
+		m.Corr, m.Origin = req.rcorr, req.rnode
 	}
-	m.Payload = encodeRequest(nil, &req)
-	return n.send(node, &m)
+	m.Payload = encodeRequest(nil, req)
+	return m
 }
 
 // replyWire answers a wire request: complete the correlation locally when
@@ -548,32 +511,14 @@ type wireDest struct {
 
 func (w *wireDest) deliver(resp response) { w.n.replyWire(w.node, w.corr, resp) }
 
-// inboundControl handles a control frame: RPC completions inline (the ctl
-// worker itself may be blocked waiting for one), everything else queued to
-// the worker.
+// inboundControl queues a control frame to the ctl worker. The payload is
+// the fresh buffer transport.ReadFrame allocated, so the body is kept
+// without a copy.
 func (n *netLayer) inboundControl(from transport.NodeID, m *transport.Msg) {
 	if len(m.Payload) == 0 {
 		return
 	}
-	op := ctlOp(m.Payload[0])
-	body := m.Payload[1:]
-	if op == ctlReply {
-		n.pendMu.Lock()
-		ch, ok := n.pending[m.Corr]
-		if ok {
-			delete(n.pending, m.Corr)
-		}
-		n.pendMu.Unlock()
-		if ok {
-			b := make([]byte, len(body))
-			copy(b, body)
-			ch <- rpcResult{body: b}
-		}
-		return
-	}
-	b := make([]byte, len(body))
-	copy(b, body)
-	n.enqueueCtl(ctlMsg{from: from, corr: m.Corr, op: op, body: b})
+	n.enqueueCtl(ctlMsg{from: from, corr: m.Corr, op: ctlOp(m.Payload[0]), body: m.Payload[1:]})
 }
 
 func (n *netLayer) enqueueCtl(msg ctlMsg) {
@@ -611,13 +556,10 @@ func (n *netLayer) ctlLoop(c *Cluster) {
 	}
 }
 
+// handleCtl applies one control message. RPC opcodes answer through
+// replyWire, as an ordinary response frame.
 func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 	switch msg.op {
-	case ctlReply:
-		// Completed inline in inboundControl, before the queue — a queued
-		// one means a reply raced Stop's pending-RPC drain; nothing waits
-		// for it any more.
-		return
 	case ctlHello:
 		if !n.isHead {
 			return
@@ -634,7 +576,7 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 		}
 		b := appendRange(nil, c.domain)
 		b = appendU32(b, uint32(c.fanout))
-		n.ctlReplyTo(msg, b)
+		n.replyWire(msg.from, msg.corr, response{value: b})
 	case ctlJoin:
 		if !n.isHead {
 			return
@@ -651,7 +593,7 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 			}
 			joined++
 		}
-		n.ctlReplyTo(msg, appendU32(nil, uint32(joined)))
+		n.replyWire(msg.from, msg.corr, response{value: appendU32(nil, uint32(joined))})
 	case ctlSpawn:
 		if n.isHead {
 			return
@@ -660,7 +602,7 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 		if c.applySpawn(msg.body) {
 			status = 1
 		}
-		n.ctlReplyTo(msg, []byte{status})
+		n.replyWire(msg.from, msg.corr, response{value: []byte{status}})
 	case ctlTopo:
 		if n.isHead {
 			return
@@ -670,7 +612,7 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 		if n.isHead {
 			return
 		}
-		n.ctlReplyTo(msg, c.encodeLocalLoads())
+		n.replyWire(msg.from, msg.corr, response{value: c.encodeLocalLoads()})
 	case ctlPush:
 		if !n.isHead {
 			return
@@ -683,45 +625,30 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 	}
 }
 
-func (n *netLayer) ctlReplyTo(msg ctlMsg, body []byte) {
-	if msg.corr == 0 {
-		return
-	}
-	payload := append([]byte{byte(ctlReply)}, body...)
-	n.send(msg.from, &transport.Msg{Corr: msg.corr, Origin: n.self, Kind: byte(msgControl), Payload: payload})
-}
-
-// rpc sends one control request and waits for its ctlReply.
+// rpc sends one control request and waits for its reply. The request's
+// correlation entry is keyed to node, so only that connection dropping
+// fails it.
 func (n *netLayer) rpc(node transport.NodeID, op ctlOp, body []byte) ([]byte, error) {
-	ch := make(chan rpcResult, 1)
-	n.pendMu.Lock()
-	n.pendNext++
-	id := n.pendNext
-	n.pending[id] = ch
-	n.pendMu.Unlock()
+	ch := make(chan response, 1)
+	id := acquireCorr(&n.corr, node, func(r response) { ch <- r })
 	payload := append([]byte{byte(op)}, body...)
 	if !n.send(node, &transport.Msg{Corr: id, Origin: n.self, Kind: byte(msgControl), Payload: payload}) {
-		n.dropPendingRPC(id)
+		releaseCorr(&n.corr, id)
 		return nil, fmt.Errorf("%w: node %d", ErrUnreachable, node)
 	}
 	timer := time.NewTimer(rpcTimeout)
 	defer timer.Stop()
 	select {
-	case res := <-ch:
-		return res.body, res.err
+	case r := <-ch:
+		//batonvet:ignore replypool the response frame (or a connection-drop sweep) released the entry
+		return r.value, r.err
 	case <-n.done:
-		n.dropPendingRPC(id)
+		releaseCorr(&n.corr, id)
 		return nil, ErrStopped
 	case <-timer.C:
-		n.dropPendingRPC(id)
+		releaseCorr(&n.corr, id)
 		return nil, fmt.Errorf("p2p: control rpc %d to node %d timed out: %w", op, node, ErrUnreachable)
 	}
-}
-
-func (n *netLayer) dropPendingRPC(id uint64) {
-	n.pendMu.Lock()
-	delete(n.pending, id)
-	n.pendMu.Unlock()
 }
 
 // joinAt runs one Join with the spawn redirected to the given node: the

@@ -12,6 +12,7 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/query"
 	"baton/internal/store"
+	"baton/internal/transport"
 )
 
 // wirePair builds a two-process overlay over loopback TCP: a coordinator
@@ -504,4 +505,117 @@ func TestWireClusterDaemonStop(t *testing.T) {
 	if _, _, _, err := head.Get(locals[0], localKey); err != nil {
 		t.Fatalf("get for head-hosted range after daemon stop: %v", err)
 	}
+}
+
+// TestWireRPCSurvivesUnrelatedPeerDown pins that a dropped connection fails
+// only the control RPCs sent over it: a head RPC to node 2 must keep
+// waiting when node 3 drops, and end with ErrStopped when the head stops.
+func TestWireRPCSurvivesUnrelatedPeerDown(t *testing.T) {
+	c := NewCluster(core.NewNetwork(core.Config{Seed: 1}))
+	n := newNetLayer(true)
+	n.self = headNodeID
+	down := make(chan transport.NodeID, 4)
+	tr, err := transport.Listen(transport.Config{
+		Self:     headNodeID,
+		Handler:  n.handleMsg,
+		OnPeerUp: n.onPeerUp,
+		OnPeerDown: func(node transport.NodeID) {
+			n.onPeerDown(node)
+			down <- node
+		},
+		Assign: n.assign,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.trp.Store(tr)
+	n.attach(c)
+	t.Cleanup(c.Stop)
+
+	// Two raw endpoints that take every frame and answer none.
+	silent := func(transport.NodeID, *transport.Msg) {}
+	var eps []*transport.TCP
+	for want := transport.NodeID(2); want <= 3; want++ {
+		ep, err := transport.Listen(transport.Config{Handler: silent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ep.Close)
+		if _, err := ep.Dial(tr.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if ep.Self() != want {
+			t.Fatalf("endpoint assigned node %d, want %d", ep.Self(), want)
+		}
+		eps = append(eps, ep)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(tr.Peers()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("head never saw both endpoints connect")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.rpc(2, ctlLoads, nil)
+		done <- err
+	}()
+	eps[1].Close()
+	select {
+	case node := <-down:
+		if node != 3 {
+			t.Fatalf("peer down for node %d, want 3", node)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("head never noticed node 3 drop")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("rpc to node 2 returned when node 3 dropped: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	c.Stop()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("rpc after Stop = %v, want ErrStopped", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rpc to node 2 still waiting after Stop")
+	}
+}
+
+// TestWireTwoDaemonHandoff joins a second daemon whose first peers take
+// over ranges hosted by the first daemon. The first daemon learns the new
+// daemon's address only from the broadcast that follows the join, so the
+// join's handoff must reach the new peer through the coordinator. Every
+// key must stay readable from the new daemon and the audit must pass.
+func TestWireTwoDaemonHandoff(t *testing.T) {
+	head, d1, keys := wirePair(t, 2, 6, 200, 11)
+	var d2 *Cluster
+	withTimeout(t, 30*time.Second, "second daemon join", func() {
+		var err error
+		if d2, err = JoinRemote(head.Addr(), 4); err != nil {
+			t.Error(err)
+		}
+	})
+	if d2 == nil {
+		t.FailNow()
+	}
+	t.Cleanup(d2.Stop)
+	waitConverge(t, head, d1)
+	waitConverge(t, head, d2)
+	via := hostedBy(d2, false)[0]
+	withTimeout(t, 30*time.Second, "reads via the new daemon", func() {
+		for _, k := range keys {
+			if _, ok, _, err := d2.Get(via, k); err != nil || !ok {
+				t.Errorf("get %d via new daemon: ok=%v err=%v", k, ok, err)
+				return
+			}
+		}
+	})
+	auditPair(t, head)
 }

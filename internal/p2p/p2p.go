@@ -254,18 +254,10 @@ const (
 	kindReplicaResync // instruct a peer to full-sync to its current holder
 	kindReplicaFetch  // return the replica set held for one source
 	kindReplicaDump   // export every replica set this peer holds
-
-	// Query-layer messages (query.go): predicate-pushdown variants of the
-	// singleton get and the range query. They carry a serialisable
-	// query.Pred evaluated at the owning peer, so items that cannot match
-	// never cross the wire; a kindRangePred with a limit stops the serial
-	// chain walk as soon as the limit is satisfied.
-	kindGetPred   // singleton get answered through the pushdown predicate
-	kindRangePred // range query carrying a pushdown predicate
 )
 
 // numKinds sizes per-kind metric arrays; it must track the enum above.
-const numKinds = int(kindRangePred) + 1
+const numKinds = int(kindReplicaDump) + 1
 
 // String names the kind for metrics and traces. The switch is exhaustive
 // (kindexhaustive) so a new kind cannot ship without a display name.
@@ -315,10 +307,6 @@ func (k kind) String() string {
 		return "REPLICA_FETCH"
 	case kindReplicaDump:
 		return "REPLICA_DUMP"
-	case kindGetPred:
-		return "GET_PRED"
-	case kindRangePred:
-		return "RANGE_PRED"
 	default:
 		return fmt.Sprintf("KIND_%d", int(k))
 	}
@@ -358,10 +346,13 @@ type request struct {
 	// and on streaming queries, whose client builds the collector itself so
 	// the channel-backed sink travels with the request (see query.go).
 	coll *collector
-	// pred is the pushdown predicate of a kindGetPred / kindRangePred
-	// request, evaluated at the owning peer. Plain serialisable data —
-	// see query.Pred. Parallel scatter branches read it from coll instead,
-	// so one query evaluates one predicate wherever its branches run.
+	// pred is the pushdown predicate of a kindGet / kindRange request (nil
+	// means unfiltered), evaluated at the owning peer so items that cannot
+	// match never cross the wire; a range predicate with a limit stops the
+	// serial chain walk as soon as the limit is satisfied. Plain
+	// serialisable data — see query.Pred. Parallel scatter branches read it
+	// from coll instead, so one query evaluates one predicate wherever its
+	// branches run.
 	pred *query.Pred
 	// bulk carries the keys/items of a batched operation or a data handoff.
 	bulk []store.Item
@@ -1287,7 +1278,7 @@ func (c *Cluster) handle(p *peer, req request) {
 	//batonvet:ignore kindexhaustive partial filter by design: only data kinds feed the load meter
 	switch req.kind {
 	case kindGet, kindPut, kindDelete, kindRange, kindRangeScatter,
-		kindBulkGet, kindBulkPut, kindBulkDelete, kindGetPred, kindRangePred:
+		kindBulkGet, kindBulkPut, kindBulkDelete:
 		p.reqs.Add(1)
 	}
 	//batonvet:ignore kindexhaustive partial dispatch by design: control kinds returned above, singleton data kinds fall through to the owned-key switch below
@@ -1323,7 +1314,7 @@ func (c *Cluster) handle(p *peer, req request) {
 		k, ok := p.data.KeyAtFraction(req.frac)
 		c.respond(req, response{splitKey: k, found: ok, hops: req.hops})
 		return
-	case kindRange, kindRangePred:
+	case kindRange:
 		c.handleRange(p, req)
 		return
 	case kindRangeScatter:
@@ -1343,14 +1334,11 @@ func (c *Cluster) handle(p *peer, req request) {
 	if p.rng.Contains(req.key) || c.ownsExtreme(p, req.key) {
 		switch req.kind {
 		case kindGet:
-			v, ok := p.data.Get(req.key)
-			c.respond(req, response{value: v, found: ok, hops: req.hops})
-		case kindGetPred:
-			// Pushdown: the predicate is evaluated here at the owner, so a
-			// non-matching value never crosses the wire. Found reports
+			// Pushdown: a predicate is evaluated here at the owner, so a
+			// non-matching value never crosses the wire. Found then reports
 			// "present and matching" — the client asked a filtered question.
 			v, ok := p.data.Get(req.key)
-			if ok && !req.pred.Match(req.key, v) {
+			if ok && req.pred != nil && !req.pred.Match(req.key, v) {
 				v, ok = nil, false
 			}
 			c.respond(req, response{value: v, found: ok, hops: req.hops})
@@ -1392,7 +1380,7 @@ func (c *Cluster) handle(p *peer, req request) {
 		req.epoch = 0
 		p.met.StaleRoute()
 		if stale {
-			if e := t.entryOf(req.key); e != nil && e.p != p && e.p.alive.Load() && c.deliverTo(e.p, req, false) {
+			if e := t.entryOf(req.key); e != nil && e.p != p && c.deliverAt(e, req) {
 				return
 			}
 		}
@@ -1408,13 +1396,13 @@ func (p *peer) touchesPending(req request) bool {
 	}
 	//batonvet:ignore kindexhaustive partial filter by design: only key- and range-addressed kinds can touch a pending region
 	switch req.kind {
-	case kindGet, kindPut, kindDelete, kindGetPred:
+	case kindGet, kindPut, kindDelete:
 		for _, r := range p.pending {
 			if r.Contains(req.key) {
 				return true
 			}
 		}
-	case kindRange, kindRangeScatter, kindRangePred:
+	case kindRange, kindRangeScatter:
 		for _, r := range p.pending {
 			if r.Intersects(req.rng) {
 				return true

@@ -40,22 +40,6 @@ import (
 	"baton/internal/store"
 )
 
-// entryIdx returns the ring index of the member owning key under this
-// topology (the slot entryOf resolves, as an index), or -1 for an empty
-// ring. Keys below the first entry map to slot 0, the
-// extreme-member rule of ownsExtreme.
-func (t *topology) entryIdx(key keyspace.Key) int {
-	n := len(t.ring)
-	if n == 0 {
-		return -1
-	}
-	i := sort.Search(n, func(i int) bool { return t.ring[i].lower > key })
-	if i > 0 {
-		i--
-	}
-	return i
-}
-
 // spanOf estimates how many member peers the range touches: the ring slots
 // from the owner of r.Lower up to (excluding) the first slot whose range
 // starts at or beyond r.Upper. Exact against the published ring; a
@@ -87,15 +71,15 @@ func (c *Cluster) EstimateSpan(r keyspace.Range) int {
 func (c *Cluster) PlanStats() obs.PlanSnapshot { return c.plans.Snapshot() }
 
 // planRange resolves the plan for a range query under topology t and the
-// ring slot owning the range's lower bound, where the request enters.
-func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (query.Plan, int) {
+// ring entry owning the range's lower bound, where the request enters.
+func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (query.Plan, *ringEntry) {
 	plan := query.Choose(t.spanOf(r), pred.LimitOrZero())
 	if plan == query.PlanSerial {
 		c.plans.Serial()
 	} else {
 		c.plans.Parallel()
 	}
-	return plan, t.entryIdx(r.Lower)
+	return plan, t.entryOf(r.Lower)
 }
 
 // RangeAdaptive answers the range query like Range / RangeSerial, but
@@ -126,13 +110,9 @@ func (c *Cluster) rangePlanned(via core.PeerID, r keyspace.Range, pred *query.Pr
 	if _, ok := t.peers[via]; !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
 	}
-	plan, ownerIdx := c.planRange(t, r, pred)
-	req := request{kind: kindRange, key: r.Lower, rng: r, par: plan == query.PlanParallel}
-	if pred != nil {
-		req.kind = kindRangePred
-		req.pred = pred
-	}
-	resp, err := c.issueToEntry(via, t, ownerIdx, req)
+	plan, owner := c.planRange(t, r, pred)
+	req := request{kind: kindRange, key: r.Lower, rng: r, par: plan == query.PlanParallel, pred: pred}
+	resp, err := c.issueAt(via, owner, req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -145,41 +125,11 @@ func (c *Cluster) rangePlanned(via core.PeerID, r keyspace.Range, pred *query.Pr
 // (owner-direct under RouteDirect).
 func (c *Cluster) GetFiltered(via core.PeerID, key keyspace.Key, pred *query.Pred) ([]byte, bool, int, error) {
 	pred.Normalize()
-	resp, err := c.route(via, request{kind: kindGetPred, key: key, pred: pred})
+	resp, err := c.route(via, request{kind: kindGet, key: key, pred: pred})
 	if err != nil {
 		return nil, false, 0, err
 	}
 	return resp.value, resp.found, resp.hops, resp.err
-}
-
-// issueToEntry issues the request straight to the ring slot idx of
-// topology t when that member is alive, falling back to the overlay path
-// entered at via otherwise — the same degradation issueDirect applies. A
-// misaimed direct send (the slot no longer owns the range's lower
-// bound) is re-routed by phase-1 forwarding at the receiver.
-func (c *Cluster) issueToEntry(via core.PeerID, t *topology, idx int, req request) (response, error) {
-	if idx >= 0 && idx < len(t.ring) {
-		e := &t.ring[idx]
-		if e.p.alive.Load() {
-			req.reply = getReply()
-			if c.deliverTo(e.p, req, false) {
-				select {
-				case resp := <-req.reply:
-					putReply(req.reply)
-					return resp, nil
-				case <-c.done:
-					//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see replyPool's doc comment)
-					return response{}, ErrStopped
-				}
-			}
-			// The slot died (or a tombstone was retired) between the
-			// topology load and the delivery: nothing was sent, so the
-			// channel is clean.
-			putReply(req.reply)
-			req.reply = nil
-		}
-	}
-	return c.issue(via, req)
 }
 
 // iterBatchSize bounds how many items one streaming batch carries: big
@@ -302,7 +252,6 @@ func (c *Cluster) rangeIter(via core.PeerID, r keyspace.Range, pred *query.Pred)
 	// Streaming is always the parallel scatter — a serial chain cannot
 	// yield anything before the walk completes — so only the owner slot is
 	// interesting.
-	ownerIdx := t.entryIdx(r.Lower)
 	c.plans.Parallel()
 	sink := &rangeSink{
 		ch:     make(chan iterBatch, sinkBuffer),
@@ -315,12 +264,8 @@ func (c *Cluster) rangeIter(via core.PeerID, r keyspace.Range, pred *query.Pred)
 	// branch, exactly as handleRange would grow it.
 	coll := &collector{pred: pred, sink: sink}
 	coll.grow(1)
-	req := request{kind: kindRange, key: r.Lower, rng: r, par: true, coll: coll}
-	if pred != nil {
-		req.kind = kindRangePred
-		req.pred = pred
-	}
-	if !c.sendToEntry(t, ownerIdx, req) && !c.send(via, req) {
+	req := request{kind: kindRange, key: r.Lower, rng: r, par: true, coll: coll, pred: pred}
+	if !c.deliverAt(t.entryOf(r.Lower), req) && !c.send(via, req) {
 		if c.stopped.Load() {
 			return nil, ErrStopped
 		}
@@ -328,19 +273,6 @@ func (c *Cluster) rangeIter(via core.PeerID, r keyspace.Range, pred *query.Pred)
 		return nil, fmt.Errorf("%w: %d", ErrOwnerDown, via)
 	}
 	return &RangeIter{sink: sink, limit: pred.LimitOrZero()}, nil
-}
-
-// sendToEntry delivers the request to the ring slot idx of topology t,
-// reporting false when the slot is out of range, dead or unreachable.
-func (c *Cluster) sendToEntry(t *topology, idx int, req request) bool {
-	if idx < 0 || idx >= len(t.ring) {
-		return false
-	}
-	e := &t.ring[idx]
-	if !e.p.alive.Load() {
-		return false
-	}
-	return c.deliverTo(e.p, req, false)
 }
 
 // Next advances to the next item, blocking until one is available, and

@@ -116,26 +116,38 @@ func (c *Cluster) issueDirect(via core.PeerID, req request) (response, error) {
 	if _, ok := t.peers[via]; !ok {
 		return response{}, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
 	}
-	if e := t.entryOf(req.key); e != nil && e.p.alive.Load() {
-		req.epoch = t.epoch
-		req.reply = getReply()
-		if c.deliverTo(e.p, req, false) {
-			select {
-			case resp := <-req.reply:
-				putReply(req.reply)
-				return resp, nil
-			case <-c.done:
-				//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see replyPool's doc comment)
-				return response{}, ErrStopped
-			}
+	req.epoch = t.epoch
+	return c.issueAt(via, t.entryOf(req.key), req)
+}
+
+// issueAt is the client entry point shared by direct singletons and
+// adaptive ranges: deliver req straight to ring entry e and wait on a
+// pooled reply, or — when e is nil, dead or retired — degrade to a plain
+// overlay request (epoch cleared) entered at via. A misaimed entry (it no
+// longer owns the key) is corrected by forwarding at the receiver.
+func (c *Cluster) issueAt(via core.PeerID, e *ringEntry, req request) (response, error) {
+	req.reply = getReply()
+	if c.deliverAt(e, req) {
+		select {
+		case resp := <-req.reply:
+			putReply(req.reply)
+			return resp, nil
+		case <-c.done:
+			//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see replyPool's doc comment)
+			return response{}, ErrStopped
 		}
-		// The owner died (or a tombstone was retired) between the topology
-		// load and the delivery: nothing was sent, so the channel is clean.
-		putReply(req.reply)
-		req.reply = nil
-		req.epoch = 0
 	}
+	// Nothing was sent (the entry died, or a tombstone was retired, after
+	// the topology load), so the channel is clean.
+	putReply(req.reply)
+	req.reply, req.epoch = nil, 0
 	return c.issue(via, req)
+}
+
+// deliverAt delivers req to ring entry e, reporting false — nothing was
+// sent — when e is nil, dead or refuses the delivery.
+func (c *Cluster) deliverAt(e *ringEntry, req request) bool {
+	return e != nil && e.p.alive.Load() && c.deliverTo(e.p, req, false)
 }
 
 // replyPool recycles the buffered reply channels of the request path. A

@@ -535,7 +535,7 @@ func (r *wreader) anErr() error {
 
 // Request flag bits (byte 1 of the payload).
 const (
-	reqFlagPar = 1 << iota // kindRange/kindRangePred: parallel fan-out
+	reqFlagPar = 1 << iota // kindRange: parallel fan-out
 )
 
 // encodeRequest serialises req for the wire. Reply channels, collectors
@@ -551,31 +551,31 @@ func encodeRequest(b []byte, req *request) []byte {
 	b = appendU8(b, flags)
 	b = appendU32(b, uint32(req.hops))
 	switch req.kind {
-	case kindGet, kindDelete:
-		b = appendKey(b, req.key)
-		b = appendU64(b, req.epoch)
-		b = appendVisited(b, req.visited)
-	case kindGetPred:
+	case kindGet:
 		b = appendKey(b, req.key)
 		b = appendU64(b, req.epoch)
 		b = appendVisited(b, req.visited)
 		b = appendPred(b, req.pred)
+	case kindDelete:
+		b = appendKey(b, req.key)
+		b = appendU64(b, req.epoch)
+		b = appendVisited(b, req.visited)
 	case kindPut:
 		b = appendKey(b, req.key)
 		b = appendBytes(b, req.value)
 		b = appendU64(b, req.epoch)
 		b = appendVisited(b, req.visited)
-	case kindRange, kindRangeScatter:
-		b = appendKey(b, req.key)
-		b = appendRange(b, req.rng)
-		b = appendVisited(b, req.visited)
-		b = appendItems(b, req.acc)
-	case kindRangePred:
+	case kindRange:
 		b = appendKey(b, req.key)
 		b = appendRange(b, req.rng)
 		b = appendVisited(b, req.visited)
 		b = appendItems(b, req.acc)
 		b = appendPred(b, req.pred)
+	case kindRangeScatter:
+		b = appendKey(b, req.key)
+		b = appendRange(b, req.rng)
+		b = appendVisited(b, req.visited)
+		b = appendItems(b, req.acc)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		b = appendItems(b, req.bulk)
 	case kindJoinLocate, kindFindReplacement:
@@ -624,31 +624,31 @@ func decodeRequest(payload []byte) (request, error) {
 	flags := r.u8()
 	req := request{kind: k, par: flags&reqFlagPar != 0, hops: int(r.u32())}
 	switch k {
-	case kindGet, kindDelete:
-		req.key = r.key()
-		req.epoch = r.u64()
-		req.visited = r.visited()
-	case kindGetPred:
+	case kindGet:
 		req.key = r.key()
 		req.epoch = r.u64()
 		req.visited = r.visited()
 		req.pred = r.pred()
+	case kindDelete:
+		req.key = r.key()
+		req.epoch = r.u64()
+		req.visited = r.visited()
 	case kindPut:
 		req.key = r.key()
 		req.value = r.bytes()
 		req.epoch = r.u64()
 		req.visited = r.visited()
-	case kindRange, kindRangeScatter:
-		req.key = r.key()
-		req.rng = r.rng()
-		req.visited = r.visited()
-		req.acc = r.items()
-	case kindRangePred:
+	case kindRange:
 		req.key = r.key()
 		req.rng = r.rng()
 		req.visited = r.visited()
 		req.acc = r.items()
 		req.pred = r.pred()
+	case kindRangeScatter:
+		req.key = r.key()
+		req.rng = r.rng()
+		req.visited = r.visited()
+		req.acc = r.items()
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		req.bulk = r.items()
 	case kindJoinLocate, kindFindReplacement:

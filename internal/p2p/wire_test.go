@@ -31,11 +31,11 @@ func goldenRequests() map[kind]request {
 		},
 	}
 	return map[kind]request{
-		kindGet:    {kind: kindGet, key: 42, hops: 3, epoch: 7, visited: visited},
+		kindGet:    {kind: kindGet, key: 42, hops: 3, epoch: 7, pred: pred, visited: visited},
 		kindPut:    {kind: kindPut, key: 43, value: []byte("v"), hops: 1, epoch: 9},
 		kindDelete: {kind: kindDelete, key: 44, hops: 2, visited: map[core.PeerID]bool{1: true}},
 		kindRange: {kind: kindRange, key: 50, rng: keyspace.Range{Lower: 50, Upper: 99},
-			hops: 4, par: true, acc: items, visited: visited},
+			hops: 4, par: true, acc: items, pred: pred, visited: visited},
 		kindRangeScatter: {kind: kindRangeScatter, key: 60, rng: keyspace.Range{Lower: 60, Upper: 80}, hops: 5},
 		kindBulkGet:      {kind: kindBulkGet, bulk: items, hops: 1},
 		kindBulkPut:      {kind: kindBulkPut, bulk: items, hops: 1},
@@ -57,9 +57,6 @@ func goldenRequests() map[kind]request {
 		kindReplicaResync: {kind: kindReplicaResync, hops: 1},
 		kindReplicaFetch:  {kind: kindReplicaFetch, src: 7, hops: 1},
 		kindReplicaDump:   {kind: kindReplicaDump, hops: 1},
-		kindGetPred:       {kind: kindGetPred, key: 45, hops: 1, epoch: 3, pred: pred, visited: visited},
-		kindRangePred: {kind: kindRangePred, key: 51, rng: keyspace.Range{Lower: 51, Upper: 90},
-			hops: 2, acc: items, pred: pred},
 	}
 }
 

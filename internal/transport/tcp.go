@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// TCP is the wire Transport: one persistent connection per node pair,
+// TCP is the wire transport: one persistent connection per node pair,
 // length-prefixed binary frames, reconnect-with-backoff on the dialing
 // side. Every node — head and daemons alike — runs a listener, so any node
 // can be dialed lazily once its address is known (the p2p layer spreads
@@ -88,7 +88,8 @@ func Listen(cfg Config) (*TCP, error) {
 	return t, nil
 }
 
-// Self implements Transport.
+// Self is this node's ID (assigned during the hello handshake when the
+// node dialed in with ID 0).
 func (t *TCP) Self() NodeID { return NodeID(t.self.Load()) }
 
 // Addr is the listener's concrete address (useful with Listen "…:0").
@@ -208,7 +209,8 @@ func (t *TCP) register(peer NodeID, nc net.Conn, addr string, dialer bool) {
 	}
 }
 
-// Send implements Transport. If no connection to `to` exists but its
+// Send enqueues m for node `to`. It never blocks; false means the frame
+// was not and will not be sent. If no connection to `to` exists but its
 // address is known, Send dials it synchronously once (later failures are
 // the caller's cue to fail over, exactly as with a local dead peer).
 func (t *TCP) Send(to NodeID, m *Msg) bool {
@@ -250,7 +252,8 @@ func (t *TCP) Peers() []NodeID {
 	return out
 }
 
-// Close implements Transport.
+// Close tears the transport down: the listener and connections close,
+// reconnect loops terminate, reader/writer goroutines exit.
 func (t *TCP) Close() {
 	if !t.stopped.CompareAndSwap(false, true) {
 		return

@@ -233,24 +233,3 @@ func TestTCPCloseStopsReconnect(t *testing.T) {
 		t.Fatal("send succeeded after Close")
 	}
 }
-
-func TestLocalHub(t *testing.T) {
-	hub := NewHub()
-	a, b := hub.Endpoint(1), hub.Endpoint(2)
-	s := newSink()
-	b.OnMessage(s.handler)
-	if !a.Send(2, &Msg{To: 5, Kind: 7, Payload: []byte("x")}) {
-		t.Fatal("local send failed")
-	}
-	got := s.waitFor(t, 1)
-	if got[0].To != 5 || got[0].Kind != 7 {
-		t.Fatalf("got %+v", got[0])
-	}
-	if a.Send(3, &Msg{}) {
-		t.Fatal("send to unregistered endpoint succeeded")
-	}
-	b.Close()
-	if a.Send(2, &Msg{}) {
-		t.Fatal("send to closed endpoint succeeded")
-	}
-}

@@ -1,17 +1,15 @@
-// Package transport is the message medium under the p2p cluster: it moves
-// opaque, correlation-tagged frames between *nodes* (OS processes hosting one
-// or more peers) and knows nothing about what the frames mean.
+// Package transport is the message medium under the multi-process p2p
+// cluster: TCP moves opaque, correlation-tagged frames between *nodes* (OS
+// processes hosting one or more peers) and knows nothing about what the
+// frames mean.
 //
-// # The seam
-//
-// The p2p layer historically delivered requests by writing a `request` struct
-// — reply channel and all — straight into the destination peer's inbox. That
-// fast path survives unchanged for peers hosted by the same process: hop
-// counts, the 0-alloc direct-get path and the goroutine-leak barrier are
-// untouched, because no Msg is ever built for an in-process delivery. Only
-// when the destination peer lives on another node does the cluster fall
-// through to a Transport, and at that point the reply channel is replaced by
-// a correlation ID.
+// Peers hosted by the same process never reach this package: the p2p layer
+// writes a request — reply channel and all — straight into the destination
+// peer's inbox, so hop counts, the 0-alloc direct-get path and the
+// goroutine-leak barrier do not depend on it. Only when the destination
+// peer lives on another node does the cluster build a Msg and hand it to
+// TCP.Send, and at that point the reply channel is replaced by a
+// correlation ID.
 //
 // # The correlation contract
 //
@@ -26,16 +24,18 @@
 //     Corr verbatim — the response does not retrace the request's route.
 //   - The origin keeps a table mapping Corr to a completion (a channel send,
 //     a range-collector contribution, ...). The table entry is released when
-//     the response arrives, when the connection that the request left on
+//     the response arrives, when the connection to the node it was sent to
 //     drops (completed with the owner-down error so retry layers see the
 //     exact failure they already handle), or when the node stops.
 //   - A response for a released Corr is dropped silently; late duplicates
 //     are harmless.
 //
-// Transports deliver frames at most once, in order per connection, and never
-// block the sender: Send either enqueues and returns true or returns false
+// TCP delivers frames at most once, in order per connection, and never
+// blocks the sender: Send either enqueues and returns true or returns false
 // immediately (unknown node, connection down, transport stopped), which the
-// p2p layer maps onto its existing refused-delivery semantics.
+// p2p layer maps onto its existing refused-delivery semantics. Every
+// inbound frame's payload is a fresh buffer (ReadFrame), owned by the
+// Handler it is passed to.
 package transport
 
 // NodeID names a process in the cluster. ID 0 is reserved: a dialer that
@@ -57,19 +57,6 @@ type Msg struct {
 // Handler receives every inbound frame. It runs on the connection's reader
 // goroutine and must not block: hand long work to another goroutine.
 type Handler func(from NodeID, m *Msg)
-
-// Transport moves frames between nodes.
-type Transport interface {
-	// Self is this node's ID (assigned during the hello handshake when the
-	// node dialed in with ID 0).
-	Self() NodeID
-	// Send enqueues m for node `to`. It never blocks; false means the frame
-	// was not and will not be sent (no connection, transport stopped).
-	Send(to NodeID, m *Msg) bool
-	// Close tears the transport down: listeners and connections close,
-	// reconnect loops terminate, reader/writer goroutines exit.
-	Close()
-}
 
 // Reserved frame kinds used by the hello handshake. P2P-level kinds must
 // stay below these.
