@@ -206,6 +206,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range goldenRequests() {
 		f.Add(encodeRequest(nil, &req))
 	}
+	// The golden get and range carry a predicate; seed the unfiltered
+	// (nil pred) encoding of each too.
+	f.Add(encodeRequest(nil, &request{kind: kindGet, key: 45, hops: 1, epoch: 3}))
+	f.Add(encodeRequest(nil, &request{kind: kindRange, key: 51,
+		rng: keyspace.Range{Lower: 51, Upper: 90}, hops: 2}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
